@@ -45,8 +45,13 @@ SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
         sim.config().getBool("engine.preempted_first", true);
     contendedSwitch_ = gmem.params().contendedSwitch;
     sms_.reserve(static_cast<std::size_t>(params_.numSms));
-    for (int i = 0; i < params_.numSms; ++i)
+    for (int i = 0; i < params_.numSms; ++i) {
         sms_.push_back(std::make_unique<gpu::Sm>(i, 64));
+        gpu::Sm *sm = sms_.back().get();
+        sm->laneQueue = &sim.events();
+        sm->completionLane =
+            sim.events().addLane([this, sm] { onTbCompleted(sm); });
+    }
     ksrt_.resize(static_cast<std::size_t>(maxActiveKernels(params_)));
     for (int i = maxActiveKernels(params_) - 1; i >= 0; --i)
         freeKsrs_.push_back(i);
@@ -318,7 +323,7 @@ SchedulingFramework::placeResident(gpu::Sm *sm, gpu::KernelExec *k,
     tb.startedAt = sim_->now();
     tb.endAt = sim_->now() + duration;
     // Reserve the FIFO sequence the old one-event-per-TB design
-    // would have consumed here; the timeline event is armed with
+    // would have consumed here; the completion lane is armed with
     // it, so same-instant completions still interleave across SMs
     // in issue order.
     tb.seq = sim_->events().reserveSeq();
@@ -344,11 +349,7 @@ SchedulingFramework::issueThreadBlocks(gpu::Sm *sm)
     // Within one fill the taken blocks form (at most) two contiguous
     // segments — preempted then fresh under preempted-first issue,
     // the reverse under the fresh-first ablation — because taking a
-    // block never makes the preferred source non-empty again.  Sizing
-    // the segments up front lets every fresh-TB duration be drawn in
-    // one batched RNG call (identical draws, in the original loop's
-    // order) instead of re-deriving the lognormal's parameters per
-    // block.
+    // block never makes the preferred source non-empty again.
     int slots = sm->freeSlots();
     int pre_avail = static_cast<int>(k->ptbqDepth());
     // Under the contended-switch model a preempted block may only
@@ -396,14 +397,12 @@ SchedulingFramework::issueThreadBlocks(gpu::Sm *sm)
                 placeResident(sm, k, k->takeFreshTb(), base);
             return;
         }
-        auto n = static_cast<std::size_t>(n_fresh);
-        tbDurationsUs_.resize(n);
-        sim_->rng().fillLognormal(tbDurationsUs_.data(), n,
-                                  sim::toMicroseconds(base),
-                                  params_.tbTimeCv);
-        for (std::size_t i = 0; i < n; ++i) {
+        // The kernel solved its lognormal's (mu, sigma) once at
+        // admission; each block costs only its own draw.
+        const sim::Rng::LognormalParams &dist = k->tbDurationParams();
+        for (int i = 0; i < n_fresh; ++i) {
             auto duration = std::max<sim::SimTime>(
-                1, sim::microseconds(tbDurationsUs_[i]));
+                1, sim::microseconds(sim_->rng().lognormal(dist)));
             placeResident(sm, k, k->takeFreshTb(), duration);
         }
     };
@@ -442,18 +441,17 @@ SchedulingFramework::issueThreadBlocks(gpu::Sm *sm)
 void
 SchedulingFramework::armCompletion(gpu::Sm *sm)
 {
+    sim::EventQueue &events = sim_->events();
     if (sm->resident.empty()) {
-        sm->completionEvent.cancel();
+        events.disarmLane(sm->completionLane);
         return;
     }
     const gpu::ResidentTb &head = sm->resident.front();
-    if (sm->completionEvent.pending() && sm->armedSeq == head.seq)
+    if (events.laneArmed(sm->completionLane) && sm->armedSeq == head.seq)
         return; // already armed for the right block
-    sm->completionEvent.cancel();
     sm->armedSeq = head.seq;
-    sm->completionEvent = sim_->events().scheduleWithSeq(
-        head.endAt, head.seq, [this, sm] { onTbCompleted(sm); },
-        sim::prioCompletion);
+    events.armLane(sm->completionLane, head.endAt, head.seq,
+                   sim::prioCompletion);
 }
 
 void
@@ -466,7 +464,7 @@ SchedulingFramework::onTbCompleted(gpu::Sm *sm)
                  "completion fired on SM %d with empty timeline",
                  sm->id());
 
-    // The armed event always tracks the timeline head: completion is
+    // The armed lane always tracks the timeline head: completion is
     // a pop, not a search.
     const sim::SimTime tb_started = sm->resident.front().startedAt;
     sm->resident.erase(sm->resident.begin());

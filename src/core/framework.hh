@@ -309,10 +309,10 @@ class SchedulingFramework : public gpu::KernelSink
      *  re-drives when they land. */
     bool parkedForRestore(const gpu::Sm *sm) const;
     void onTbCompleted(gpu::Sm *sm);
-    /** (Re)arm @p sm's single completion event for the head of its
-     *  timeline; disarms when nothing is resident.  The event carries
-     *  the head TB's issue-time sequence number, so firing order is
-     *  identical to one-event-per-TB scheduling. */
+    /** (Re)arm @p sm's completion lane for the head of its timeline;
+     *  disarms when nothing is resident.  The lane carries the head
+     *  TB's issue-time sequence number, so firing order is identical
+     *  to one-event-per-TB scheduling. */
     void armCompletion(gpu::Sm *sm);
     void smBecameIdle(gpu::Sm *sm);
     void finalizeKernel(gpu::KernelExec *k);
@@ -365,9 +365,6 @@ class SchedulingFramework : public gpu::KernelSink
     std::size_t buffered_ = 0;
     /** Per-SM reservation timestamps (preemption latency stat). */
     std::vector<sim::SimTime> reserveTime_;
-    /** Scratch for batched fresh-TB duration draws (issueThreadBlocks);
-     *  member so the capacity survives across waves. */
-    std::vector<double> tbDurationsUs_;
 
     sim::Scalar kernelsCompleted_;
     sim::Scalar tbsCompleted_;

@@ -25,6 +25,13 @@ KernelExec::assign(sim::KsrIndex ksr, CommandPtr cmd,
     occupancy_ = maxTbsPerSm(*cmd_->profile, params);
     ctxBytesPerTb_ = cmd_->profile->contextBytesPerTb();
     totalTbs_ = cmd_->profile->numThreadBlocks;
+    // Pooled objects are reassigned across kernels, so the cached
+    // solve must be refreshed here, not only at construction.
+    tbDurationParams_ = params.tbTimeCv > 0.0
+        ? sim::Rng::lognormalParams(
+              sim::toMicroseconds(cmd_->profile->tbDuration()),
+              params.tbTimeCv)
+        : sim::Rng::LognormalParams{};
     ptbqCapacity_ = ptbq_capacity;
     nextFresh_ = 0;
     completed_ = 0;

@@ -17,6 +17,7 @@
 
 #include "gpu/command.hh"
 #include "gpu/gpu_config.hh"
+#include "sim/random.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -78,6 +79,13 @@ class KernelExec
     /** Context bytes to save/restore per thread block. */
     std::int64_t contextBytesPerTb() const { return ctxBytesPerTb_; }
     int totalTbs() const { return totalTbs_; }
+    /** Lognormal of this kernel's fresh-TB durations in microseconds
+     *  (profile mean, GpuParams::tbTimeCv), solved once per
+     *  construct/assign.  Meaningful only when tbTimeCv > 0. */
+    const sim::Rng::LognormalParams &tbDurationParams() const
+    {
+        return tbDurationParams_;
+    }
     /** @} */
 
     /** @name Thread-block issue bookkeeping
@@ -163,6 +171,7 @@ class KernelExec
     int occupancy_;
     std::int64_t ctxBytesPerTb_;
     int totalTbs_;
+    sim::Rng::LognormalParams tbDurationParams_;
     int ptbqCapacity_;
     int nextFresh_ = 0;
     int completed_ = 0;

@@ -64,14 +64,13 @@ Sm::clearKernel()
     GPUMP_ASSERT(resident.empty(),
                  "SM %d cleared with %zu resident TBs", id_,
                  resident.size());
-    GPUMP_ASSERT(!completionEvent.pending(),
-                 "SM %d cleared with an armed completion event", id_);
+    GPUMP_ASSERT(laneQueue == nullptr || !laneQueue->laneArmed(completionLane),
+                 "SM %d cleared with an armed completion lane", id_);
     kernel = nullptr;
     nextKernel = nullptr;
     reserved = false;
     state = State::Idle;
     pendingEvent = sim::EventQueue::Handle();
-    completionEvent = sim::EventQueue::Handle();
     ++setupEpoch;
 }
 

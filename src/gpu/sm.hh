@@ -35,9 +35,9 @@ class KernelExec;
  * One thread block resident on an SM.
  *
  * Resident TBs do not own individual completion events: the SM keeps
- * them ordered by (endAt, seq) and arms exactly one event for the
- * earliest (the per-SM completion timeline), so the global event
- * queue holds O(SMs) completion events instead of O(resident TBs).
+ * them ordered by (endAt, seq) and arms its completion lane in the
+ * event queue for the earliest (the per-SM completion timeline), so
+ * completions never enter the general event queue at all.
  */
 struct ResidentTb
 {
@@ -93,11 +93,14 @@ class Sm
     std::vector<ResidentTb> resident;
     /** Pending setup / save-completion event. */
     sim::EventQueue::Handle pendingEvent;
-    /** The single armed completion event of the timeline (fires for
-     *  resident.front(); cancelled on context-switch preemption). */
-    sim::EventQueue::Handle completionEvent;
-    /** Sequence number completionEvent is armed with (meaningful only
-     *  while completionEvent is pending). */
+    /** Queue owning completionLane (nullptr until the framework
+     *  registers the lane). */
+    sim::EventQueue *laneQueue = nullptr;
+    /** The timeline's completion lane: armed for resident.front(),
+     *  disarmed on context-switch preemption and when the SM empties. */
+    sim::EventQueue::LaneId completionLane = 0;
+    /** Sequence number completionLane is armed with (meaningful only
+     *  while the lane is armed). */
     std::uint64_t armedSeq = 0;
     /** Bumped by clearKernel(): callbacks staged while the SM waited
      *  in Setup (e.g. a residency swap-in) capture the epoch and drop

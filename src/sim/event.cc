@@ -13,22 +13,7 @@ namespace {
 /** Compaction only pays off once the queue is big enough to matter. */
 constexpr std::size_t compactionMinEntries = 64;
 
-/** Smallest refill chunk. */
-constexpr std::size_t refillMin = 32;
-
-/** Up to this many future entries the refill takes everything in one
- *  sort, skipping the selection passes; typical simulator runs hold
- *  a few dozen live events and always hit this path. */
-constexpr std::size_t smallQueue = 1024;
-
-/** Sorted-insert ceiling for the bottom: beyond this many pending
- *  entries the upper half is spilled back to the future, keeping the
- *  memmove cost of below-boundary scheduling bounded. */
-constexpr std::size_t spillLimit = 256;
-
-constexpr std::uint64_t maxKey = ~0ull;
-
-/** Initial capacity of the slab and both tiers: growing a vector of
+/** Initial capacity of the slab and the heap: growing a vector of
  *  live slots relocates every callback, so start big enough that
  *  typical runs never pay it. */
 constexpr std::size_t initialCapacity = 128;
@@ -38,8 +23,8 @@ constexpr std::size_t initialCapacity = 128;
 EventQueue::EventQueue()
 {
     slots_.reserve(initialCapacity);
-    bottom_.reserve(initialCapacity);
-    future_.reserve(initialCapacity);
+    heap_.reserve(initialCapacity);
+    tree_.assign(2, LaneNode{disarmedKey, disarmedKey, noLane});
 }
 
 std::uint32_t
@@ -96,181 +81,75 @@ void
 EventQueue::compactIfWorthIt()
 {
     // Sweep dead entries once they outnumber the live ones; otherwise
-    // a cancelled far-future event would occupy the queue until its
+    // a cancelled far-future event would occupy the heap until its
     // timestamp came up, which for workloads that cancel most of what
     // they schedule (preemption-heavy runs) means unbounded growth.
-    if (heapEntries() < compactionMinEntries ||
-        deadEntries_ * 2 <= heapEntries())
+    if (heap_.size() < compactionMinEntries ||
+        deadEntries_ * 2 <= heap_.size())
         return;
-    // Drop the consumed prefix first so only inspectable entries
-    // remain, then filter both tiers.  remove_if keeps the relative
-    // order, so the bottom stays sorted.
-    bottom_.erase(bottom_.begin(),
-                  bottom_.begin() +
-                      static_cast<std::ptrdiff_t>(bottomPos_));
-    bottomPos_ = 0;
-    auto sweep = [this](std::vector<Entry> &entries) {
-        auto live_end = std::remove_if(
-            entries.begin(), entries.end(), [this](const Entry &e) {
-                if (!entryDead(e))
-                    return false;
-                releaseSlot(e.slot);
-                return true;
-            });
-        entries.erase(live_end, entries.end());
-    };
-    sweep(bottom_);
-    sweep(future_);
+    auto live_end = std::remove_if(
+        heap_.begin(), heap_.end(), [this](const Entry &e) {
+            if (!entryDead(e))
+                return false;
+            releaseSlot(e.slot);
+            return true;
+        });
+    heap_.erase(live_end, heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), FiresAfter());
     deadEntries_ = 0;
-}
-
-void
-EventQueue::insertEntry(const Entry &e)
-{
-    if (!keyBefore(e.keyHi, e.keyLo, boundaryHi_, boundaryLo_)) {
-        future_.push_back(e);
-        return;
-    }
-    auto pos = std::upper_bound(
-        bottom_.begin() + static_cast<std::ptrdiff_t>(bottomPos_),
-        bottom_.end(), e, FiresBefore());
-    auto ins = bottom_.insert(pos, e);
-    // Two-tier ordering: a below-boundary insert must land in sorted
-    // position (its neighbours bracket it).  Catches a comparator or
-    // boundary regression at the insert, not replays later.
-    GPUMP_AUDIT(
-        (ins == bottom_.begin() + static_cast<std::ptrdiff_t>(bottomPos_) ||
-         !keyBefore(e.keyHi, e.keyLo, (ins - 1)->keyHi, (ins - 1)->keyLo)) &&
-            (ins + 1 == bottom_.end() ||
-             !keyBefore((ins + 1)->keyHi, (ins + 1)->keyLo, e.keyHi,
-                        e.keyLo)),
-        "sorted-bottom insert out of order (when=%llu)",
-        static_cast<unsigned long long>(e.keyHi));
-    if (bottom_.size() - bottomPos_ > spillLimit)
-        spillBottom();
-}
-
-void
-EventQueue::spillBottom()
-{
-    // Keep the near half sorted, hand the far half back to the future
-    // and tighten the boundary to the spill point.
-    std::size_t pending = bottom_.size() - bottomPos_;
-    auto mid = bottom_.begin() +
-        static_cast<std::ptrdiff_t>(bottomPos_ + pending / 2);
-    boundaryHi_ = mid->keyHi;
-    boundaryLo_ = mid->keyLo;
-    future_.insert(future_.end(), mid, bottom_.end());
-    bottom_.erase(mid, bottom_.end());
-}
-
-void
-EventQueue::refillBottom()
-{
-    // Move the smallest chunk of the future into the bottom.  Taking
-    // an eighth amortizes the O(n) selection to a constant number of
-    // comparisons per event while keeping the bottom small enough
-    // that below-boundary sorted inserts stay cheap.
-    std::size_t n = future_.size();
-    std::size_t take = n <= smallQueue ? n : std::max(refillMin, n / 8);
-    if (take < n) {
-        std::nth_element(future_.begin(),
-                         future_.begin() +
-                             static_cast<std::ptrdiff_t>(take),
-                         future_.end(), FiresBefore());
-        boundaryHi_ = future_[take].keyHi;
-        boundaryLo_ = future_[take].keyLo;
-    } else {
-        boundaryHi_ = maxKey;
-        boundaryLo_ = maxKey;
-    }
-    bottom_.assign(future_.begin(),
-                   future_.begin() + static_cast<std::ptrdiff_t>(take));
-    future_.erase(future_.begin(),
-                  future_.begin() + static_cast<std::ptrdiff_t>(take));
-    std::sort(bottom_.begin(), bottom_.end(), FiresBefore());
-    bottomPos_ = 0;
-#if GPUMP_AUDIT_ENABLED
-    // Two-tier ordering after a refill: the bottom is sorted and every
-    // entry left in the future belongs at or beyond the new boundary.
-    // O(n) — audit builds trade throughput for machine-checked
-    // structure.
-    for (std::size_t i = 1; i < bottom_.size(); ++i) {
-        GPUMP_AUDIT(!keyBefore(bottom_[i].keyHi, bottom_[i].keyLo,
-                               bottom_[i - 1].keyHi, bottom_[i - 1].keyLo),
-                    "refilled bottom not sorted at index %zu", i);
-    }
-    for (std::size_t i = 0; i < future_.size(); ++i) {
-        GPUMP_AUDIT(!keyBefore(future_[i].keyHi, future_[i].keyLo,
-                               boundaryHi_, boundaryLo_),
-                    "future entry %zu fires below the refill boundary "
-                    "(the bottom would skip it)", i);
-    }
-#endif
 }
 
 const EventQueue::Entry *
 EventQueue::peekFront()
 {
-    for (;;) {
-        if (bottomPos_ < bottom_.size()) {
-            const Entry &e = bottom_[bottomPos_];
-            if (!entryDead(e))
-                return &e;
-            releaseSlot(e.slot);
-            ++bottomPos_;
-            --deadEntries_;
-            continue;
-        }
-        bottom_.clear();
-        bottomPos_ = 0;
-        if (future_.empty()) {
-            // Drained: subsequent schedules sorted-insert into the
-            // bottom directly (and spill if they pile up).
-            boundaryHi_ = maxKey;
-            boundaryLo_ = maxKey;
-            return nullptr;
-        }
-        refillBottom();
+    while (!heap_.empty()) {
+        const Entry &e = heap_.front();
+        if (!entryDead(e))
+            return &e;
+        releaseSlot(e.slot);
+        std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
+        heap_.pop_back();
+        --deadEntries_;
     }
+    return nullptr;
+}
+
+std::uint64_t
+EventQueue::packKeyLo(int priority, std::uint64_t seq)
+{
+    return (static_cast<std::uint64_t>(
+                static_cast<std::uint32_t>(priority + priorityBias))
+            << 48) |
+        seq;
+}
+
+void
+EventQueue::checkKey(SimTime when, std::uint64_t seq, int priority) const
+{
+    GPUMP_ASSERT(when >= now_,
+                 "event scheduled in the past (when=%lld now=%lld)",
+                 static_cast<long long>(when), static_cast<long long>(now_));
+    GPUMP_ASSERT(priority >= -priorityBias && priority < priorityBias,
+                 "event priority %d outside the 16-bit key range",
+                 priority);
+    GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
 }
 
 EventQueue::Handle
 EventQueue::schedule(SimTime when, Callback cb, int priority)
 {
-    return doSchedule(when, seq_++, std::move(cb), priority);
-}
-
-EventQueue::Handle
-EventQueue::scheduleWithSeq(SimTime when, std::uint64_t seq, Callback cb,
-                            int priority)
-{
-    GPUMP_ASSERT(seq < seq_, "sequence %llu was never reserved",
-                 static_cast<unsigned long long>(seq));
-    return doSchedule(when, seq, std::move(cb), priority);
-}
-
-EventQueue::Handle
-EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
-                       int priority)
-{
-    GPUMP_ASSERT(when >= now_,
-                 "event scheduled in the past (when=%lld now=%lld)",
-                 static_cast<long long>(when), static_cast<long long>(now_));
+    std::uint64_t seq = seq_++;
+    checkKey(when, seq, priority);
     GPUMP_ASSERT(cb != nullptr, "event scheduled with null callback");
-    GPUMP_ASSERT(priority >= -priorityBias && priority < priorityBias,
-                 "event priority %d outside the 16-bit key range",
-                 priority);
-    GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
 
     std::uint32_t slot = acquireSlot(std::move(cb));
     std::uint32_t gen = slots_[slot].gen;
-    std::uint64_t key_lo =
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(priority + priorityBias))
-         << 48) |
-        seq;
-    insertEntry(Entry{static_cast<std::uint64_t>(when), key_lo, slot, gen});
+    heap_.push_back(Entry{static_cast<std::uint64_t>(when),
+                          packKeyLo(priority, seq), slot, gen});
+    std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
+    GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
+                "heap property violated after scheduling (when=%lld)",
+                static_cast<long long>(when));
     return Handle(this, slot, gen);
 }
 
@@ -282,31 +161,188 @@ EventQueue::scheduleIn(SimTime delay, Callback cb, int priority)
     return schedule(now_ + delay, std::move(cb), priority);
 }
 
-bool
-EventQueue::step()
+EventQueue::LaneId
+EventQueue::addLane(Callback cb)
 {
+    GPUMP_ASSERT(cb != nullptr, "lane registered with null callback");
+    GPUMP_ASSERT(laneCallbacks_ == 0,
+                 "lane registered from inside a lane callback");
+    GPUMP_ASSERT(lanes_.size() < noLane, "lane ids exhausted");
+    auto lane = static_cast<LaneId>(lanes_.size());
+    lanes_.push_back(Lane{std::move(cb), false});
+    if (lanes_.size() > leafBase_) {
+        // Double the leaf level, carry the leaves over and rebuild
+        // the winners bottom-up.  Registration happens once per lane
+        // at setup, so this never runs on the hot path.
+        std::size_t base = leafBase_ * 2;
+        std::vector<LaneNode> tree(2 * base,
+                                   LaneNode{disarmedKey, disarmedKey,
+                                            noLane});
+        std::copy(tree_.begin() + static_cast<std::ptrdiff_t>(leafBase_),
+                  tree_.end(),
+                  tree.begin() + static_cast<std::ptrdiff_t>(base));
+        tree_ = std::move(tree);
+        leafBase_ = base;
+        for (std::size_t i = leafBase_ - 1; i >= 1; --i)
+            playMatch(i);
+    }
+    tree_[leafBase_ + lane].lane = lane;
+    return lane;
+}
+
+void
+EventQueue::playMatch(std::size_t node)
+{
+    const LaneNode &a = tree_[2 * node];
+    const LaneNode &b = tree_[2 * node + 1];
+    tree_[node] = keyBefore(b.keyHi, b.keyLo, a.keyHi, a.keyLo) ? b : a;
+}
+
+void
+EventQueue::setLeaf(LaneId lane, std::uint64_t key_hi, std::uint64_t key_lo)
+{
+    LaneNode &leaf = tree_[leafBase_ + lane];
+    leaf.keyHi = key_hi;
+    leaf.keyLo = key_lo;
+    for (std::size_t i = (leafBase_ + lane) >> 1; i >= 1; i >>= 1)
+        playMatch(i);
+}
+
+void
+EventQueue::armLane(LaneId lane, SimTime when, std::uint64_t seq,
+                    int priority)
+{
+    GPUMP_ASSERT(lane < lanes_.size(), "arm of unregistered lane %u", lane);
+    GPUMP_ASSERT(seq < seq_, "sequence %llu was never reserved",
+                 static_cast<unsigned long long>(seq));
+    checkKey(when, seq, priority);
+    if (!lanes_[lane].armed) {
+        lanes_[lane].armed = true;
+        ++armedLanes_;
+    }
+    // Re-arming the lane that just fired overwrites its stale leaf,
+    // so this walk is the only one the firing costs.
+    if (firedLane_ == lane)
+        firedLane_ = noLane;
+    setLeaf(lane, static_cast<std::uint64_t>(when), packKeyLo(priority, seq));
+}
+
+void
+EventQueue::disarmLane(LaneId lane)
+{
+    GPUMP_ASSERT(lane < lanes_.size(), "disarm of unregistered lane %u",
+                 lane);
+    // A lane that fired reads as disarmed here; its stale leaf is
+    // settled by the next fireNext.
+    if (!lanes_[lane].armed)
+        return;
+    lanes_[lane].armed = false;
+    --armedLanes_;
+    setLeaf(lane, disarmedKey, disarmedKey);
+}
+
+#if GPUMP_AUDIT_ENABLED
+void
+EventQueue::auditLaneTree() const
+{
+    // Tournament invariant: the root carries the minimum key over the
+    // armed lanes (or the disarmed key when none is), and every
+    // disarmed leaf is settled.  O(lanes) per event — audit builds
+    // trade throughput for machine-checked structure.
+    std::uint64_t hi = disarmedKey;
+    std::uint64_t lo = disarmedKey;
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+        const LaneNode &leaf = tree_[leafBase_ + l];
+        if (!lanes_[l].armed) {
+            GPUMP_AUDIT(leaf.keyHi == disarmedKey,
+                        "disarmed lane %zu still keyed in the lane tree", l);
+            continue;
+        }
+        if (keyBefore(leaf.keyHi, leaf.keyLo, hi, lo)) {
+            hi = leaf.keyHi;
+            lo = leaf.keyLo;
+        }
+    }
+    GPUMP_AUDIT(tree_[1].keyHi == hi && tree_[1].keyLo == lo,
+                "lane tree root (when=%llu) is not the minimum over armed "
+                "lanes (when=%llu): tournament corrupt",
+                static_cast<unsigned long long>(tree_[1].keyHi),
+                static_cast<unsigned long long>(hi));
+}
+#endif
+
+bool
+EventQueue::fireNext(SimTime limit)
+{
+    // A lane whose callback left it disarmed (or is still running it,
+    // for a step nested in a lane callback) still holds the fired key
+    // in its leaf; settle it so the root is exact again.
+    if (firedLane_ != noLane) {
+        setLeaf(firedLane_, disarmedKey, disarmedKey);
+        firedLane_ = noLane;
+    }
+#if GPUMP_AUDIT_ENABLED
+    auditLaneTree();
+#endif
     const Entry *front = peekFront();
-    if (front == nullptr)
+    const LaneNode &root = tree_[1];
+    if (front != nullptr &&
+        !keyBefore(root.keyHi, root.keyLo, front->keyHi, front->keyLo)) {
+        if (front->when() > limit)
+            return false;
+        const Entry top = *front;
+        // The queue's headline guarantee, checked at the moment it
+        // could break: events fire in nondecreasing time order.
+        GPUMP_AUDIT(top.when() >= now_,
+                    "event fires at %lld but time already reached %lld "
+                    "(heap order violated)",
+                    static_cast<long long>(top.when()),
+                    static_cast<long long>(now_));
+        GPUMP_AUDIT(slots_[top.slot].callback != nullptr,
+                    "front entry's slot %u has no callback "
+                    "(generation bookkeeping corrupt)", top.slot);
+        // Consume before the callback can mutate the queue.
+        std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
+        heap_.pop_back();
+        GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
+                    "heap property violated after a pop (%zu entries)",
+                    heap_.size());
+        now_ = top.when();
+        ++slots_[top.slot].gen; // the event is no longer pending
+        Callback cb = std::move(slots_[top.slot].callback);
+        releaseSlot(top.slot);
+        ++executed_;
+        cb();
+        return true;
+    }
+    if (root.keyHi == disarmedKey ||
+        static_cast<SimTime>(root.keyHi) > limit)
         return false;
-    const Entry top = *front;
-    // The queue's headline guarantee, checked at the moment it could
-    // break: events fire in nondecreasing time order.
-    GPUMP_AUDIT(top.when() >= now_,
-                "event fires at %lld but time already reached %lld "
-                "(two-tier ordering violated)",
-                static_cast<long long>(top.when()),
+    const LaneId lane = root.lane;
+    GPUMP_AUDIT(static_cast<SimTime>(root.keyHi) >= now_,
+                "lane %u fires at %lld but time already reached %lld",
+                lane, static_cast<long long>(root.keyHi),
                 static_cast<long long>(now_));
-    GPUMP_AUDIT(slots_[top.slot].callback != nullptr,
-                "front entry's slot %u has no callback "
-                "(generation bookkeeping corrupt)", top.slot);
-    ++bottomPos_; // consume before the callback can mutate the queue
-    now_ = top.when();
-    ++slots_[top.slot].gen; // the event is no longer pending
-    Callback cb = std::move(slots_[top.slot].callback);
-    releaseSlot(top.slot);
+    now_ = static_cast<SimTime>(root.keyHi);
+    // Disarm without touching the tree: a callback that re-arms the
+    // lane (the common case, one per thread block) repairs the path
+    // in its own walk, so the fired lane costs one walk either way.
+    lanes_[lane].armed = false;
+    --armedLanes_;
+    firedLane_ = lane;
     ++executed_;
-    cb();
+    ++laneCallbacks_;
+    lanes_[lane].callback();
+    --laneCallbacks_;
     return true;
+}
+
+SimTime
+EventQueue::run(SimTime limit)
+{
+    while (fireNext(limit)) {
+    }
+    return now_;
 }
 
 #if GPUMP_AUDIT_ENABLED
@@ -316,25 +352,26 @@ EventQueue::auditCorruptFrontKeyForTest()
     const Entry *front = peekFront();
     GPUMP_ASSERT(front != nullptr,
                  "no pending entry to corrupt for the audit test");
-    // peekFront() leaves the live front at bottom_[bottomPos_]; zero
-    // its firing key so the next step() sees an event "before" the
-    // current time and the two-tier ordering audit trips.
-    bottom_[bottomPos_].keyHi = 0;
+    // Zeroing the front's key keeps the heap property (it only moves
+    // earlier) but puts an event "before" the current time, so the
+    // next step() trips the time-order audit.
+    heap_.front().keyHi = 0;
+}
+
+void
+EventQueue::auditCorruptLaneTreeForTest()
+{
+    GPUMP_ASSERT(armedLanes_ > 0,
+                 "no armed lane to corrupt for the audit test");
+    // Settle a fired lane now, as the next fireNext would, so the
+    // corrupted root survives into the tournament audit.
+    if (firedLane_ != noLane) {
+        setLeaf(firedLane_, disarmedKey, disarmedKey);
+        firedLane_ = noLane;
+    }
+    tree_[1].keyHi = 0;
 }
 #endif
-
-SimTime
-EventQueue::run(SimTime limit)
-{
-    for (;;) {
-        const Entry *front = peekFront();
-        if (front == nullptr || front->when() > limit)
-            break;
-        // step()'s re-peek is O(1): the front was just validated.
-        step();
-    }
-    return now_;
-}
 
 } // namespace sim
 } // namespace gpump

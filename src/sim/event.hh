@@ -8,19 +8,24 @@
  *  - events at the same time fire in ascending priority value;
  *  - events with equal (time, priority) fire in ascending sequence
  *    number (scheduling order, unless the caller reserved a sequence
- *    number explicitly — see reserveSeq / scheduleWithSeq).
+ *    number explicitly — see reserveSeq / armLane).
  *
+ * Events come from two sources merged by key: a general queue of
+ * cancellable one-shot events (a binary heap), and lanes — re-armable
+ * events with a fixed callback, one per SM for the thread-block
+ * completion timeline, whose keys sit in a tournament tree.
  * Cancellation is first-class because preemption must revoke the
- * completion events of thread blocks that are context-switched out.
+ * completions of thread blocks that are context-switched out
+ * (disarmLane) and pending setup or save events (Handle::cancel).
  *
  * The engine is allocation-free on the hot path: callbacks live in a
  * small-buffer-optimized storage (no heap for captures up to
  * EventCallback::inlineBytes), event state lives in a slab of
- * recycled slots, and queue entries are POD.  Handles are
- * generation-counted (slot index, generation) pairs, so a stale
- * handle — one whose event already ran, was cancelled, or whose slot
- * was since recycled — stays safe to query or cancel without any
- * reference counting.  Unlike the previous shared_ptr-based design,
+ * recycled slots, queue entries are POD, and queue memory is
+ * O(live events).  Handles are generation-counted (slot index,
+ * generation) pairs, so a stale handle — one whose event already ran,
+ * was cancelled, or whose slot was since recycled — stays safe to
+ * query or cancel without any reference counting.  Unlike the previous shared_ptr-based design,
  * a Handle must not be used after its EventQueue is destroyed.
  */
 
@@ -205,25 +210,32 @@ class EventCallback
 };
 
 /**
- * Deterministic event queue with O(1) cancellation, amortized
- * O(log n) ordering work per event and bounded dead-entry overhead.
+ * Deterministic event queue with O(1) cancellation, O(log n)
+ * ordering work per event, and re-armable completion lanes.
  *
- * Internals (see DESIGN.md §5): event callbacks live in a slab of
- * generation-counted slots recycled through a free list; the
- * priority structure holds 24-byte POD entries referencing slots by
- * index.  Instead of a binary heap, entries sit in two tiers — a
- * small sorted "bottom" array popped by index bump and an unsorted
- * "future" buffer refilled from in sorted chunks — trading the
- * pointer-chasing sift loops for sequential selection and sort
- * passes.  Cancellation bumps the slot's generation (invalidating
+ * Internals (see DESIGN.md §5): general events live in a slab of
+ * generation-counted slots recycled through a free list and are
+ * ordered by a binary heap of 24-byte POD entries referencing slots
+ * by index.  Cancellation bumps the slot's generation (invalidating
  * the entry and every outstanding handle); dead entries are skipped
- * when reached, or swept eagerly when they come to outnumber live
- * ones.
+ * when they reach the front, or swept eagerly once they come to
+ * outnumber live ones.
+ *
+ * Lanes are the second event source: each is a fixed callback
+ * registered once and re-armed any number of times with a full
+ * (time, priority, seq) key.  Their keys sit in a tournament tree,
+ * and every step fires whichever comes first, the tree's root or the
+ * heap's front.  A lane costs no slot, no heap entry and no callback
+ * move per firing — the per-SM thread-block completion stream runs
+ * through one lane per SM.
  */
 class EventQueue
 {
   public:
     using Callback = EventCallback;
+
+    /** Index of a registered lane (see addLane). */
+    using LaneId = std::uint32_t;
 
     /**
      * Handle to a scheduled event; allows cancellation.
@@ -289,25 +301,45 @@ class EventQueue
     /**
      * Reserve the next FIFO sequence number without scheduling.
      *
-     * Callers that coalesce many logical events behind one scheduled
-     * event (the per-SM completion timeline) reserve one sequence
-     * number per logical event at the instant the old design would
-     * have scheduled it, then arm the physical event with
-     * scheduleWithSeq.  Ties at equal (time, priority) then resolve
-     * exactly as if every logical event had been scheduled
+     * Callers that coalesce many logical events behind one lane (the
+     * per-SM completion timeline) reserve one sequence number per
+     * logical event at the instant it would have been scheduled, then
+     * arm the lane with it.  Ties at equal (time, priority) then
+     * resolve exactly as if every logical event had been scheduled
      * individually, which keeps simulations bit-identical.
      */
     std::uint64_t reserveSeq() { return seq_++; }
 
+    /** @name Lanes
+     * A lane is a re-armable event with a fixed callback.  While
+     * armed it fires at its (when, priority, seq) key exactly as an
+     * event scheduled under that key would, ties with general events
+     * included.  Firing disarms it: inside its own callback a lane
+     * reads as disarmed until the callback re-arms it.
+     * @{ */
+    /** Register a lane, initially disarmed.  Not callable from inside
+     *  a lane callback. */
+    LaneId addLane(Callback cb);
+
     /**
-     * Schedule @p cb with an explicitly reserved FIFO sequence number.
+     * Arm (or re-key) @p lane to fire at (when, priority, seq).
      * @pre when >= now() and seq was obtained from reserveSeq()
      */
-    Handle scheduleWithSeq(SimTime when, std::uint64_t seq, Callback cb,
-                           int priority = prioDefault);
+    void armLane(LaneId lane, SimTime when, std::uint64_t seq,
+                 int priority = prioDefault);
 
-    /** Number of live (non-cancelled, not yet run) events.  O(1). */
-    std::size_t pending() const { return heapEntries() - deadEntries_; }
+    /** Disarm @p lane; a no-op when it is not armed. */
+    void disarmLane(LaneId lane);
+
+    bool laneArmed(LaneId lane) const { return lanes_[lane].armed; }
+    /** @} */
+
+    /** Number of live events: general events not yet run or
+     *  cancelled plus armed lanes.  O(1). */
+    std::size_t pending() const
+    {
+        return heapEntries() - deadEntries_ + armedLanes_;
+    }
 
     /** True when no live events remain.  O(1). */
     bool empty() const { return pending() == 0; }
@@ -316,7 +348,7 @@ class EventQueue
      * Run the next live event.
      * @return false when no live event remains.
      */
-    bool step();
+    bool step() { return fireNext(maxTime); }
 
     /**
      * Run events until the queue drains or the next event lies beyond
@@ -326,15 +358,14 @@ class EventQueue
      */
     SimTime run(SimTime limit = maxTime);
 
-    /** Total number of events executed since construction. */
+    /** Total number of events executed since construction, lane
+     *  firings included. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Queue entries currently held, live and dead (observability for
-     *  tests of the compaction policy). */
-    std::size_t heapEntries() const
-    {
-        return (bottom_.size() - bottomPos_) + future_.size();
-    }
+    /** General-queue heap entries currently held, live and dead
+     *  (observability for tests of the compaction policy; lanes are
+     *  not counted). */
+    std::size_t heapEntries() const { return heap_.size(); }
 
     /** Slab cells ever allocated (observability for tests of slot
      *  recycling; steady-state workloads plateau at their peak
@@ -342,12 +373,18 @@ class EventQueue
     std::size_t slotsAllocated() const { return slots_.size(); }
 
 #if GPUMP_AUDIT_ENABLED
-    /** Test hook (audit builds only): deliberately corrupt the firing
-     *  key of the next pending entry so the two-tier ordering audit
-     *  in step() trips.  Exists so tests/test_audit.cpp can prove the
-     *  audit layer detects a corrupted queue; never compiled into
-     *  default builds.  @pre at least one live entry is pending. */
+    /** @name Audit test hooks
+     * Audit builds only: deliberately corrupt the queue so
+     * tests/test_audit.cpp can prove the audit layer detects it;
+     * never compiled into default builds.
+     * @{ */
+    /** Zero the firing key of the heap's front entry so the time
+     *  audit in step() trips.  @pre a live general event is pending. */
     void auditCorruptFrontKeyForTest();
+    /** Zero the firing time recorded at the lane tree's root so the
+     *  tournament audit in step() trips.  @pre a lane is armed. */
+    void auditCorruptLaneTreeForTest();
+    /** @} */
 #endif
 
   private:
@@ -357,8 +394,7 @@ class EventQueue
      * The (when, priority, seq) firing key is packed into two 64-bit
      * words — keyHi = when, keyLo = biased 16-bit priority over a
      * 48-bit sequence — so entries are 24 bytes and the comparison is
-     * two branch-free integer compares, which matters enormously in
-     * the sift loops (comparisons on random keys mispredict).
+     * two branch-free integer compares.
      */
     struct Entry
     {
@@ -370,10 +406,29 @@ class EventQueue
         SimTime when() const { return static_cast<SimTime>(keyHi); }
     };
 
+    /** One tournament-tree node: the winning (earliest) lane key of
+     *  its subtree.  A disarmed leaf holds the all-ones key, which
+     *  sorts after every real key. */
+    struct LaneNode
+    {
+        std::uint64_t keyHi;
+        std::uint64_t keyLo;
+        LaneId lane;
+    };
+
+    struct Lane
+    {
+        Callback callback;
+        bool armed = false;
+    };
+
     /** Half the biased priority range; priorities must fit 16 bits. */
     static constexpr int priorityBias = 1 << 15;
     /** Sequence numbers occupy the low 48 bits of keyLo. */
     static constexpr std::uint64_t maxSeq = (1ull << 48) - 1;
+    /** Key of a disarmed lane. */
+    static constexpr std::uint64_t disarmedKey = ~0ull;
+    static constexpr LaneId noLane = 0xffffffffu;
 
     /** One slab cell: callback storage + generation + free-list link. */
     struct Slot
@@ -392,14 +447,19 @@ class EventQueue
         return bool(hi1 < hi2) | (bool(hi1 == hi2) & bool(lo1 < lo2));
     }
 
-    /** Comparator functor over entries (inlines into sorts). */
-    struct FiresBefore
+    /** Heap comparator: the std heap algorithms keep the "largest"
+     *  element at the front, so "largest" means fires first. */
+    struct FiresAfter
     {
         bool operator()(const Entry &a, const Entry &b) const
         {
-            return keyBefore(a.keyHi, a.keyLo, b.keyHi, b.keyLo);
+            return keyBefore(b.keyHi, b.keyLo, a.keyHi, a.keyLo);
         }
     };
+
+    /** Pack a (priority, seq) pair into keyLo. */
+    static std::uint64_t packKeyLo(int priority, std::uint64_t seq);
+    void checkKey(SimTime when, std::uint64_t seq, int priority) const;
 
     bool slotLive(std::uint32_t slot, std::uint32_t gen) const
     {
@@ -409,52 +469,54 @@ class EventQueue
     bool entryDead(const Entry &e) const { return !slotLive(e.slot, e.gen); }
 
     void cancelSlot(std::uint32_t slot);
-    Handle doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
-                      int priority);
     std::uint32_t acquireSlot(Callback &&cb);
     void releaseSlot(std::uint32_t slot);
     void compactIfWorthIt();
 
-    /** @name Two-tier priority structure
-     * A small sorted "bottom" array (next event = index bump) over an
-     * unsorted "future" buffer.  Scheduling beyond the boundary is an
-     * O(1) append; scheduling below it is a sorted insert into the
-     * (small) bottom.  When the bottom drains, the smallest chunk of
-     * the future is selected with nth_element and sorted — sequential
-     * passes that replace the pointer-chasing sift loops of a binary
-     * heap and amortize to O(log n) comparisons per event with far
-     * better locality.  See DESIGN.md §5.
-     * @{ */
-    void insertEntry(const Entry &e);
-    /** Next live entry (skipping dead ones, refilling the bottom),
-     *  or nullptr when drained.  The pointer is invalidated by any
-     *  mutation of the queue. */
+    /** Next live heap entry (popping dead ones), or nullptr. */
     const Entry *peekFront();
-    void refillBottom();
-    void spillBottom();
-    /** @} */
+
+    /** Fire the earliest of the heap front and the lane tree root if
+     *  it lies at or before @p limit; false when nothing did. */
+    bool fireNext(SimTime limit);
+
+    /** Store the earlier of @p node's two children in it. */
+    void playMatch(std::size_t node);
+    /** Key @p lane's leaf and replay the matches on its path to the
+     *  root. */
+    void setLeaf(LaneId lane, std::uint64_t key_hi, std::uint64_t key_lo);
+#if GPUMP_AUDIT_ENABLED
+    void auditLaneTree() const;
+#endif
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
     /** Entries whose event was cancelled but not yet swept; live
-     *  events are the remaining entries (pending()). */
+     *  general events are the remaining entries. */
     std::size_t deadEntries_ = 0;
 
-    /** Sorted ascending by key; bottom_[bottomPos_] fires next. */
-    std::vector<Entry> bottom_;
-    std::size_t bottomPos_ = 0;
-    /** Unsorted; every key here is >= (boundaryHi_, boundaryLo_). */
-    std::vector<Entry> future_;
-    /** Keys strictly below the boundary belong to the bottom.  The
-     *  initial zero boundary routes everything to the future until
-     *  the first refill. */
-    std::uint64_t boundaryHi_ = 0;
-    std::uint64_t boundaryLo_ = 0;
+    /** Binary heap under FiresAfter: heap_.front() fires next. */
+    std::vector<Entry> heap_;
 
     std::vector<Slot> slots_;
     static constexpr std::uint32_t noSlot = 0xffffffffu;
     std::uint32_t freeHead_ = noSlot;
+
+    std::vector<Lane> lanes_;
+    /** Winner tree over lanes: leaves at [leafBase_, 2 * leafBase_),
+     *  padded to a power of two with disarmed leaves; tree_[1] is the
+     *  root (a leaf itself when leafBase_ == 1). */
+    std::vector<LaneNode> tree_;
+    std::size_t leafBase_ = 1;
+    std::size_t armedLanes_ = 0;
+    /** Lane that fired and has not been re-armed or settled since;
+     *  its leaf still holds the fired key until the next fireNext
+     *  settles it. */
+    LaneId firedLane_ = noLane;
+    /** Depth of lane callbacks on the stack (addLane may not grow
+     *  lanes_ beneath a running one). */
+    int laneCallbacks_ = 0;
 };
 
 } // namespace sim

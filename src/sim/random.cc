@@ -137,18 +137,36 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
-double
-Rng::lognormal(double mean, double cv)
+Rng::LognormalParams
+Rng::lognormalParams(double mean, double cv)
 {
     GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");
     GPUMP_ASSERT(cv >= 0.0, "lognormal: cv must be non-negative");
+    LognormalParams p;
+    p.mean = mean;
     if (cv == 0.0)
-        return mean;
+        return p;
     // For LogN(mu, sigma^2): E = exp(mu + sigma^2/2),
     // CV^2 = exp(sigma^2) - 1.  Solve for (mu, sigma).
     double sigma2 = std::log(1.0 + cv * cv);
-    double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(normal(mu, std::sqrt(sigma2)));
+    p.mu = std::log(mean) - 0.5 * sigma2;
+    p.sigma = std::sqrt(sigma2);
+    p.fixed = false;
+    return p;
+}
+
+double
+Rng::lognormal(const LognormalParams &params)
+{
+    if (params.fixed)
+        return params.mean;
+    return std::exp(normal(params.mu, params.sigma));
+}
+
+double
+Rng::lognormal(double mean, double cv)
+{
+    return lognormal(lognormalParams(mean, cv));
 }
 
 double
@@ -175,22 +193,13 @@ Rng::fillNormal(double *out, std::size_t n, double mean, double stddev)
 void
 Rng::fillLognormal(double *out, std::size_t n, double mean, double cv)
 {
-    GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");
-    GPUMP_ASSERT(cv >= 0.0, "lognormal: cv must be non-negative");
-    if (cv == 0.0) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = mean;
-        return;
-    }
     // The (mu, sigma) solve — two logs and a square root per sample
     // in the sequential path — is hoisted out of the loop; each
     // sample then runs exactly the arithmetic lognormal() runs, so
     // the outputs are bit-identical to n sequential calls.
-    double sigma2 = std::log(1.0 + cv * cv);
-    double mu = std::log(mean) - 0.5 * sigma2;
-    double sigma = std::sqrt(sigma2);
+    const LognormalParams params = lognormalParams(mean, cv);
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = std::exp(normal(mu, sigma));
+        out[i] = lognormal(params);
 }
 
 void

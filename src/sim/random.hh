@@ -15,7 +15,9 @@
  * draws the n sequential calls would have, in the same order, and
  * performs the same per-sample arithmetic — only the per-call
  * parameter setup (the lognormal's (mu, sigma) solve, the normal's
- * scaling) is hoisted out of the loop.
+ * scaling) is hoisted out of the loop.  Callers that sample one
+ * lognormal across many calls hoist the solve themselves with
+ * lognormalParams().
  */
 
 #ifndef GPUMP_SIM_RANDOM_HH
@@ -101,6 +103,31 @@ class Rng
      * @pre mean > 0, cv >= 0
      */
     double lognormal(double mean, double cv);
+
+    /** A lognormal's solved parameters (see lognormalParams). */
+    struct LognormalParams
+    {
+        /** Linear-domain mean; every sample when fixed. */
+        double mean = 1.0;
+        /** Log-domain location and scale. */
+        double mu = 0.0;
+        double sigma = 0.0;
+        /** cv == 0: samples are the mean and consume no draws. */
+        bool fixed = true;
+    };
+
+    /**
+     * Solve (mu, sigma) for lognormal(mean, cv) once, so a caller
+     * sampling the same distribution repeatedly skips the two logs
+     * and the square root per sample.
+     *
+     * @pre mean > 0, cv >= 0
+     */
+    static LognormalParams lognormalParams(double mean, double cv);
+
+    /** One sample of a pre-solved lognormal; bit-identical to
+     *  lognormal(mean, cv) for the params' (mean, cv). */
+    double lognormal(const LognormalParams &params);
 
     /** Exponential with the given mean. @pre mean > 0 */
     double exponential(double mean);

@@ -8,10 +8,11 @@
  *    code and never evaluate its condition, and simulation output must
  *    match the pinned golden aggregates — the audit layer's existence
  *    cannot perturb results;
- *  - audit build: a deliberately corrupted EventQueue entry and a
- *    deliberately over-admitted ResidencyManager must abort through
- *    auditFail (EXPECT_DEATH), and the same golden aggregate must
- *    still hold — enabled audits observe, they do not mutate.
+ *  - audit build: a deliberately corrupted EventQueue entry, a
+ *    corrupted lane tree and a deliberately over-admitted
+ *    ResidencyManager must abort through auditFail (EXPECT_DEATH),
+ *    and the same golden aggregate must still hold — enabled audits
+ *    observe, they do not mutate.
  */
 
 #include <gtest/gtest.h>
@@ -136,11 +137,29 @@ TEST(AuditDeathTest, CorruptedEventQueueEntryAborts)
     ASSERT_TRUE(q.step());
     ASSERT_EQ(q.now(), 100);
 
-    // Zero the pending entry's firing key: the queue now claims its
+    // Zero the heap front's firing key: the queue now claims its
     // next event fires at t=0 while time already reached t=100, and
-    // the two-tier ordering audit in step() must catch it.
+    // the time-order audit in step() must catch it.
     q.auditCorruptFrontKeyForTest();
-    EXPECT_DEATH(q.step(), "two-tier ordering violated");
+    EXPECT_DEATH(q.step(), "heap order violated");
+}
+
+TEST(AuditDeathTest, CorruptedLaneTreeAborts)
+{
+    sim::EventQueue q;
+    std::vector<sim::EventQueue::LaneId> lanes;
+    for (int i = 0; i < 13; ++i)
+        lanes.push_back(q.addLane([] {}));
+    q.armLane(lanes[3], 100, q.reserveSeq());
+    q.armLane(lanes[9], 200, q.reserveSeq());
+    ASSERT_TRUE(q.step());
+    ASSERT_EQ(q.now(), 100);
+
+    // Zero the time the tree's root records: the root no longer equals
+    // the minimum over the armed lanes (lane 9 at t=200), and the
+    // tournament audit must catch it before anything fires.
+    q.auditCorruptLaneTreeForTest();
+    EXPECT_DEATH(q.step(), "tournament corrupt");
 }
 
 TEST(AuditDeathTest, OverCapacityResidencyAborts)

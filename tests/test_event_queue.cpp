@@ -273,123 +273,380 @@ TEST(EventQueue, ReservedSequencesBreakTiesInReservationOrder)
 {
     EventQueue q;
     std::vector<int> order;
-    // Reserve two sequence numbers, then arm them in reverse order:
-    // ties at equal (time, priority) must fire in reservation order,
-    // not scheduling order.
+    // Reserve two sequence numbers, then arm lanes with them in
+    // reverse order: ties at equal (time, priority) must fire in
+    // reservation order, not arming order, and ahead of a general
+    // event scheduled afterwards.
+    EventQueue::LaneId l1 = q.addLane([&] { order.push_back(1); });
+    EventQueue::LaneId l2 = q.addLane([&] { order.push_back(2); });
     std::uint64_t s1 = q.reserveSeq();
     std::uint64_t s2 = q.reserveSeq();
-    q.scheduleWithSeq(5, s2, [&] { order.push_back(2); },
-                      sim::prioCompletion);
-    q.scheduleWithSeq(5, s1, [&] { order.push_back(1); },
-                      sim::prioCompletion);
+    q.armLane(l2, 5, s2, sim::prioCompletion);
+    q.armLane(l1, 5, s1, sim::prioCompletion);
     q.schedule(5, [&] { order.push_back(3); }, sim::prioCompletion);
     q.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventQueue, GeneralEventBeatsLaneWithLaterSequence)
+{
+    EventQueue q;
+    std::vector<int> order;
+    EventQueue::LaneId lane = q.addLane([&] { order.push_back(1); });
+    q.schedule(5, [&] { order.push_back(0); }, sim::prioCompletion);
+    q.armLane(lane, 5, q.reserveSeq(), sim::prioCompletion);
+    // A lower priority value wins over an earlier sequence.
+    q.schedule(5, [&] { order.push_back(-1); }, -1);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}));
+}
+
+TEST(EventQueue, LaneFiresOnceAndReadsDisarmedInItsCallback)
+{
+    EventQueue q;
+    int fired = 0;
+    bool armed_inside = true;
+    EventQueue::LaneId lane = 0;
+    lane = q.addLane([&] {
+        ++fired;
+        armed_inside = q.laneArmed(lane);
+    });
+    EXPECT_FALSE(q.laneArmed(lane));
+    EXPECT_TRUE(q.empty());
+    q.armLane(lane, 7, q.reserveSeq());
+    EXPECT_TRUE(q.laneArmed(lane));
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.heapEntries(), 0u) << "a lane must not use the heap";
+    q.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(armed_inside);
+    EXPECT_FALSE(q.laneArmed(lane));
+    EXPECT_EQ(q.now(), 7);
+    EXPECT_EQ(q.executed(), 1u) << "lane firings count as events";
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueue, LaneReArmedInsideItsCallbackKeepsFiring)
+{
+    EventQueue q;
+    std::vector<sim::SimTime> times;
+    EventQueue::LaneId lane = 0;
+    lane = q.addLane([&] {
+        times.push_back(q.now());
+        if (times.size() < 4) {
+            q.armLane(lane, q.now() + 10, q.reserveSeq());
+            EXPECT_TRUE(q.laneArmed(lane));
+        }
+    });
+    q.armLane(lane, 10, q.reserveSeq());
+    q.run();
+    EXPECT_EQ(times, (std::vector<sim::SimTime>{10, 20, 30, 40}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DisarmedAndReKeyedLanes)
+{
+    EventQueue q;
+    std::vector<int> order;
+    EventQueue::LaneId a = q.addLane([&] { order.push_back(0); });
+    EventQueue::LaneId b = q.addLane([&] { order.push_back(1); });
+    q.armLane(a, 10, q.reserveSeq());
+    q.armLane(b, 20, q.reserveSeq());
+    q.disarmLane(a);
+    q.disarmLane(a); // disarming a disarmed lane is a no-op
+    EXPECT_EQ(q.pending(), 1u);
+    q.armLane(b, 5, q.reserveSeq()); // re-key an armed lane earlier
+    EXPECT_EQ(q.pending(), 1u);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(q.now(), 5);
+}
+
+TEST(EventQueue, RunHonoursLaneLimit)
+{
+    EventQueue q;
+    int fired = 0;
+    EventQueue::LaneId lane = q.addLane([&] { ++fired; });
+    q.armLane(lane, 30, q.reserveSeq());
+    q.schedule(10, [] {});
+    EXPECT_EQ(q.run(29), 10);
+    EXPECT_EQ(fired, 0);
+    EXPECT_TRUE(q.laneArmed(lane));
+    EXPECT_EQ(q.run(30), 30) << "a lane exactly at the limit must run";
+    EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, LaneMisusePanics)
+{
+    EventQueue q;
+    EventQueue::LaneId lane = q.addLane([] {});
+    EXPECT_THROW(q.addLane(EventQueue::Callback()), sim::PanicError);
+    EXPECT_THROW(q.armLane(lane, 5, 0), sim::PanicError)
+        << "sequence 0 was never reserved";
+    q.schedule(10, [] {});
+    q.run();
+    EXPECT_THROW(q.armLane(lane, 5, q.reserveSeq()), sim::PanicError)
+        << "armed in the past";
+    EXPECT_THROW(q.armLane(lane + 1, 20, q.reserveSeq()), sim::PanicError);
+}
+
+namespace {
+
 /**
- * Randomized property test: arbitrary schedule/cancel/step
+ * Naive reference model of the queue: every live general event and
+ * armed lane in a flat list, the next one found by a linear scan for
+ * the smallest (time, priority, seq).  Callbacks check at fire time
+ * that they are the model's next event, then mutate the queue and
+ * the model in lockstep, so step() and run() are checked alike.
+ */
+class ReferenceModel
+{
+  public:
+    ReferenceModel(std::size_t num_lanes, std::uint64_t seed)
+        : lcg_(seed)
+    {
+        for (std::size_t l = 0; l < num_lanes; ++l) {
+            auto lane = static_cast<EventQueue::LaneId>(l);
+            EXPECT_EQ(q_.addLane([this, lane] { onLane(lane); }), lane);
+            lanes_.push_back({false, 0, 0, 0});
+        }
+    }
+
+    /** Random top-level operations interleaved with steps and runs. */
+    void play(int ops)
+    {
+        for (int op = 0; op < ops && !::testing::Test::HasFailure();
+             ++op) {
+            std::uint64_t what = rnd(20);
+            if (what < 6) {
+                scheduleGeneral(static_cast<sim::SimTime>(rnd(50)));
+            } else if (what < 9 && !lanes_.empty()) {
+                armLane(pickLane(), static_cast<sim::SimTime>(rnd(50)));
+            } else if (what < 10 && !lanes_.empty()) {
+                disarmLane(pickLane());
+            } else if (what < 12) {
+                cancelGeneral();
+            } else if (what < 18) {
+                std::size_t before = fired_;
+                bool due = !idle();
+                EXPECT_EQ(q_.step(), due);
+                EXPECT_EQ(fired_, before + (due ? 1 : 0));
+            } else {
+                sim::SimTime limit =
+                    q_.now() + static_cast<sim::SimTime>(rnd(30));
+                sim::SimTime reached = q_.run(limit);
+                EXPECT_EQ(reached, q_.now());
+                EXPECT_LE(reached, limit);
+                const Key *next = modelNext();
+                EXPECT_TRUE(next == nullptr || next->when > limit)
+                    << "run(limit) stopped before a due event";
+            }
+            ASSERT_EQ(q_.pending(), alive());
+            ASSERT_EQ(q_.empty(), alive() == 0);
+            for (std::size_t l = 0; l < lanes_.size(); ++l) {
+                ASSERT_EQ(q_.laneArmed(static_cast<EventQueue::LaneId>(l)),
+                          lanes_[l].armed);
+            }
+        }
+        // Drain; the tail must also fire in model order.
+        while (!idle() && !::testing::Test::HasFailure())
+            ASSERT_TRUE(q_.step());
+        EXPECT_FALSE(q_.step());
+        EXPECT_TRUE(q_.empty());
+        EXPECT_EQ(q_.executed(), fired_);
+    }
+
+    std::size_t lanesFired() const { return lanesFired_; }
+    std::size_t laneTiesWithGeneral() const { return laneTies_; }
+
+  private:
+    /** A model event's firing key; armed == liveness. */
+    struct Key
+    {
+        bool armed;
+        sim::SimTime when;
+        int priority;
+        std::uint64_t seq;
+    };
+
+    static bool before(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        return a.seq < b.seq;
+    }
+
+    std::uint64_t rnd(std::uint64_t mod)
+    {
+        lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg_ >> 33) % mod;
+    }
+
+    int pickPriority()
+    {
+        const int prios[] = {sim::prioCompletion, sim::prioDriver,
+                             sim::prioPolicy, sim::prioDefault};
+        return prios[rnd(sizeof(prios) / sizeof(prios[0]))];
+    }
+
+    EventQueue::LaneId pickLane()
+    {
+        return static_cast<EventQueue::LaneId>(rnd(lanes_.size()));
+    }
+
+    const Key *modelNext() const
+    {
+        const Key *best = nullptr;
+        for (const Key &k : general_)
+            if (k.armed && (best == nullptr || before(k, *best)))
+                best = &k;
+        for (const Key &k : lanes_)
+            if (k.armed && (best == nullptr || before(k, *best)))
+                best = &k;
+        return best;
+    }
+
+    std::size_t alive() const
+    {
+        std::size_t n = 0;
+        for (const Key &k : general_)
+            n += k.armed ? 1 : 0;
+        for (const Key &k : lanes_)
+            n += k.armed ? 1 : 0;
+        return n;
+    }
+
+    bool idle() const { return modelNext() == nullptr; }
+
+    void scheduleGeneral(sim::SimTime delay)
+    {
+        int priority = pickPriority();
+        std::size_t id = general_.size();
+        sim::SimTime when = q_.now() + delay;
+        handles_.push_back(
+            q_.schedule(when, [this, id] { onGeneral(id); }, priority));
+        general_.push_back({true, when, priority, seq_++});
+    }
+
+    void armLane(EventQueue::LaneId lane, sim::SimTime delay)
+    {
+        Key k{true, q_.now() + delay, pickPriority(), q_.reserveSeq()};
+        ASSERT_EQ(k.seq, seq_++);
+        q_.armLane(lane, k.when, k.seq, k.priority);
+        lanes_[lane] = k;
+    }
+
+    void disarmLane(EventQueue::LaneId lane)
+    {
+        q_.disarmLane(lane);
+        lanes_[lane].armed = false;
+    }
+
+    void cancelGeneral()
+    {
+        if (general_.empty())
+            return;
+        std::size_t pick = rnd(general_.size());
+        EXPECT_EQ(handles_[pick].cancel(), general_[pick].armed);
+        EXPECT_FALSE(handles_[pick].pending());
+        general_[pick].armed = false;
+    }
+
+    /** Check that @p self is the model's next event and consume it. */
+    void fire(Key &self)
+    {
+        const Key *next = modelNext();
+        ASSERT_EQ(next, &self) << "fired out of (time, priority, seq) order";
+        EXPECT_EQ(q_.now(), self.when);
+        self.armed = false;
+        ++fired_;
+        EXPECT_EQ(q_.pending(), alive());
+    }
+
+    /** What a callback does besides recording itself: the cascades a
+     *  completion triggers in the simulator. */
+    void react()
+    {
+        std::uint64_t what = rnd(10);
+        if (what < 2) {
+            scheduleGeneral(static_cast<sim::SimTime>(rnd(3)));
+        } else if (what < 4 && !lanes_.empty()) {
+            armLane(pickLane(), static_cast<sim::SimTime>(rnd(5)));
+        } else if (what < 5 && !lanes_.empty()) {
+            disarmLane(pickLane());
+        } else if (what < 6) {
+            cancelGeneral();
+        }
+    }
+
+    void onGeneral(std::size_t id)
+    {
+        fire(general_[id]);
+        react();
+    }
+
+    void onLane(EventQueue::LaneId lane)
+    {
+        fire(lanes_[lane]);
+        ++lanesFired_;
+        // A general event still due at this instant ties the lane on
+        // time, the case the merge must get exactly right; count them
+        // so the test can prove it exercised them.
+        for (const Key &k : general_)
+            laneTies_ += (k.armed && k.when == q_.now()) ? 1 : 0;
+        EXPECT_FALSE(q_.laneArmed(lane))
+            << "a lane must read disarmed inside its own callback";
+        if (rnd(2) == 0) {
+            armLane(lane, static_cast<sim::SimTime>(rnd(20)));
+            EXPECT_TRUE(q_.laneArmed(lane));
+        }
+        react();
+    }
+
+    EventQueue q_;
+    std::uint64_t lcg_;
+    std::uint64_t seq_ = 0; // mirrors the queue's counter
+    std::vector<Key> general_;
+    std::vector<EventQueue::Handle> handles_;
+    std::vector<Key> lanes_;
+    std::size_t fired_ = 0;
+    std::size_t lanesFired_ = 0;
+    std::size_t laneTies_ = 0;
+};
+
+} // namespace
+
+/**
+ * Randomized property test: arbitrary schedule/cancel/step/run
  * interleavings must fire exactly the events a naive reference model
  * predicts, in exactly the model's (time, priority, seq) order.
  */
 TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
 {
-    std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
-    auto rnd = [&lcg](std::uint64_t mod) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return (lcg >> 33) % mod;
-    };
-    const int prios[] = {sim::prioCompletion, sim::prioDriver,
-                         sim::prioPolicy, sim::prioDefault};
+    for (std::uint64_t round = 0; round < 25; ++round) {
+        ReferenceModel model(0, 0x9e3779b97f4a7c15ull + round);
+        model.play(400);
+    }
+}
 
-    for (int round = 0; round < 25; ++round) {
-        EventQueue q;
-        struct ModelEvent
-        {
-            sim::SimTime when;
-            int priority;
-            std::uint64_t seq;
-            int id;
-            bool alive;
-        };
-        std::vector<ModelEvent> model;
-        std::vector<EventQueue::Handle> handles;
-        std::vector<int> fired;
-        std::uint64_t seqCounter = 0; // mirrors the queue's counter
-
-        auto modelNext = [&]() -> ModelEvent * {
-            ModelEvent *best = nullptr;
-            for (auto &e : model) {
-                if (!e.alive)
-                    continue;
-                if (!best || e.when < best->when ||
-                    (e.when == best->when &&
-                     (e.priority < best->priority ||
-                      (e.priority == best->priority &&
-                       e.seq < best->seq)))) {
-                    best = &e;
-                }
-            }
-            return best;
-        };
-
-        for (int op = 0; op < 400; ++op) {
-            std::uint64_t what = rnd(10);
-            if (what < 6) { // schedule
-                sim::SimTime when =
-                    q.now() + static_cast<sim::SimTime>(rnd(50));
-                int priority =
-                    prios[rnd(sizeof(prios) / sizeof(prios[0]))];
-                int id = static_cast<int>(model.size());
-                std::uint64_t seq;
-                if (rnd(4) == 0) {
-                    // Exercise the reserve-then-arm path.
-                    seq = q.reserveSeq();
-                    ASSERT_EQ(seq, seqCounter++);
-                    handles.push_back(q.scheduleWithSeq(
-                        when, seq,
-                        [&fired, id] { fired.push_back(id); },
-                        priority));
-                } else {
-                    seq = seqCounter++;
-                    handles.push_back(q.schedule(
-                        when, [&fired, id] { fired.push_back(id); },
-                        priority));
-                }
-                model.push_back({when, priority, seq, id, true});
-            } else if (what < 8 && !model.empty()) { // cancel
-                std::uint64_t pick = rnd(model.size());
-                bool expect = model[pick].alive;
-                EXPECT_EQ(handles[pick].cancel(), expect);
-                EXPECT_FALSE(handles[pick].pending());
-                model[pick].alive = false;
-            } else { // step
-                ModelEvent *next = modelNext();
-                if (next == nullptr) {
-                    EXPECT_FALSE(q.step());
-                    EXPECT_TRUE(q.empty());
-                } else {
-                    ASSERT_TRUE(q.step());
-                    EXPECT_EQ(q.now(), next->when);
-                    ASSERT_FALSE(fired.empty());
-                    EXPECT_EQ(fired.back(), next->id);
-                    next->alive = false;
-                }
-            }
-            // The live count always matches the model's.
-            std::size_t alive = 0;
-            for (const auto &e : model)
-                alive += e.alive ? 1 : 0;
-            ASSERT_EQ(q.pending(), alive);
+/** The same with lanes, at tree sizes that are a power of two (1),
+ *  padded (13 SMs of the paper's GPU) and large (132, H100-class). */
+TEST(EventQueueProperty, LanesMatchReferenceModel)
+{
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{13},
+                              std::size_t{132}}) {
+        std::size_t fired = 0, ties = 0;
+        for (std::uint64_t round = 0; round < 10; ++round) {
+            ReferenceModel model(lanes, 0x2545f4914f6cdd1dull * (round + 1));
+            model.play(1000);
+            fired += model.lanesFired();
+            ties += model.laneTiesWithGeneral();
         }
-
-        // Drain; the tail must also fire in model order.
-        while (ModelEvent *next = modelNext()) {
-            ASSERT_TRUE(q.step());
-            EXPECT_EQ(fired.back(), next->id);
-            next->alive = false;
-        }
-        EXPECT_FALSE(q.step());
-        EXPECT_TRUE(q.empty());
+        EXPECT_GT(fired, 500u) << lanes << " lanes";
+        EXPECT_GT(ties, 0u) << lanes << " lanes never tied a general event";
     }
 }

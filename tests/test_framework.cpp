@@ -222,32 +222,84 @@ TEST(Framework, SetupLatencySkippedForSameContext)
 
 TEST(Framework, CompletionTimelineKeepsQueuePressureBounded)
 {
-    // The per-SM completion timeline arms exactly one event per busy
-    // SM, so the global event queue holds O(SMs) live events instead
-    // of O(resident TBs) — with 13 SMs at occupancy 16 the old design
-    // kept ~208 completion events pending.
+    // Each SM's completion timeline rides one lane of the event
+    // queue, so thread-block completions never enter the general
+    // queue: its heap holds O(1) entries (setup events, the probe)
+    // while the lanes carry the completions — with 13 SMs at
+    // occupancy 16 a one-event-per-TB design kept ~208 completion
+    // events pending.
     DeviceRig rig;
     auto *q = rig.queueFor(0);
     auto k = test::makeProfile("big", 2000, 50.0);
     rig.launch(q, &k);
 
+    sim::EventQueue &events = rig.sim.events();
     std::size_t peak = 0;
+    std::size_t heap_peak = 0;
+    std::size_t busy_samples = 0;
     std::function<void()> sample = [&] {
-        std::size_t p = rig.sim.events().pending();
+        std::size_t p = events.pending();
         peak = std::max(peak, p);
-        if (p > 0) {
-            rig.sim.events().scheduleIn(sim::microseconds(25.0),
-                                        [&] { sample(); });
+        std::size_t armed = 0;
+        for (const auto &sm : rig.framework.sms())
+            armed += events.laneArmed(sm->completionLane) ? 1 : 0;
+        if (armed > 0) {
+            // Once the SMs run (setup events all fired), only the
+            // probe and stray driver events may occupy the heap.
+            heap_peak = std::max(heap_peak, events.heapEntries());
+            ++busy_samples;
         }
+        if (p > 0)
+            events.scheduleIn(sim::microseconds(25.0), [&] { sample(); });
     };
     sample();
+    std::uint64_t before = events.executed();
     rig.run();
 
     EXPECT_EQ(rig.framework.kernelsCompleted(), 1u);
     std::size_t sms =
         static_cast<std::size_t>(rig.framework.numSms());
-    EXPECT_LE(peak, sms + 8u)
+    EXPECT_LE(peak, sms + 4u)
         << "queue pressure is not O(SMs): completion events are not "
            "being coalesced per SM";
     EXPECT_GT(peak, 2u) << "probe never saw the engine busy";
+    EXPECT_GT(busy_samples, 10u);
+    EXPECT_LE(heap_peak, 4u)
+        << "the general queue is carrying thread-block completions";
+    EXPECT_GE(events.executed() - before, 2000u)
+        << "every completion must count as an executed event";
+}
+
+TEST(KernelExec, ReassignRefreshesTbDurationDistribution)
+{
+    // The framework pools retired KernelExecs; the fresh-TB duration
+    // lognormal is solved once per kernel, so a reassigned entry must
+    // re-solve it for its new profile or every later kernel would
+    // draw from the first one's mean.
+    gpu::GpuParams params;
+    params.tbTimeCv = 0.25;
+    auto short_tb = test::makeProfile("short", 64, 10.0);
+    auto long_tb = test::makeProfile("long", 64, 400.0);
+    gpu::KernelExec k(0, gpu::Command::makeKernel(0, 0, &short_tb),
+                      params, 64);
+    EXPECT_EQ(k.tbDurationParams().mean, 10.0);
+    k.releaseCommand();
+    k.assign(1, gpu::Command::makeKernel(1, 0, &long_tb), params, 64);
+    EXPECT_EQ(k.tbDurationParams().mean, 400.0);
+
+    sim::Rng pooled(43), fresh(43);
+    double sum = 0;
+    const int n = 4000;
+    for (int i = 0; i < n; ++i) {
+        double x = pooled.lognormal(k.tbDurationParams());
+        EXPECT_EQ(x, fresh.lognormal(400.0, 0.25));
+        sum += x;
+    }
+    EXPECT_NEAR(sum / n, 400.0, 10.0);
+
+    // Without duration variability nothing is solved and nothing drawn.
+    params.tbTimeCv = 0.0;
+    k.releaseCommand();
+    k.assign(2, gpu::Command::makeKernel(2, 0, &short_tb), params, 64);
+    EXPECT_TRUE(k.tbDurationParams().fixed);
 }

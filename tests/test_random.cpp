@@ -253,6 +253,47 @@ TEST(Rng, BatchedDrawsMatchSequentialBitForBit)
     EXPECT_EQ(after_batch, plain.lognormal(2.0, 0.3));
 }
 
+TEST(Rng, PresolvedLognormalMatchesPerCallSolveBitForBit)
+{
+    // lognormal(lognormalParams(m, cv)) must be the per-call
+    // lognormal(m, cv) bit for bit, drawing the same raw values, so
+    // hoisting the (mu, sigma) solve out of a sampling loop cannot
+    // move any simulation.  The oracle is the closed-form solve
+    // spelled out here.
+    for (double cv : {0.05, 0.25, 0.4, 1.5}) {
+        for (double mean : {0.5, 8.7, 2500.0}) {
+            const Rng::LognormalParams p = Rng::lognormalParams(mean, cv);
+            Rng a(29), b(29), c(29);
+            for (int i = 0; i < 512; ++i) {
+                double x = a.lognormal(p);
+                EXPECT_EQ(x, b.lognormal(mean, cv));
+                double sigma2 = std::log(1.0 + cv * cv);
+                double mu = std::log(mean) - 0.5 * sigma2;
+                EXPECT_EQ(x, std::exp(mu + std::sqrt(sigma2) * c.normal()));
+            }
+            EXPECT_EQ(a.next(), b.next()) << "draw counts diverged";
+        }
+    }
+
+    // Interleaved on one shared stream: alternating the two forms
+    // continues the stream exactly as the per-call form alone does.
+    const Rng::LognormalParams p = Rng::lognormalParams(3.0, 0.3);
+    Rng shared(31), plain(31);
+    for (int i = 0; i < 256; ++i) {
+        double x = (i % 2 == 0) ? shared.lognormal(p)
+                                : shared.lognormal(3.0, 0.3);
+        EXPECT_EQ(x, plain.lognormal(3.0, 0.3));
+    }
+
+    // cv == 0: the mean, and no draw.
+    const Rng::LognormalParams fixed = Rng::lognormalParams(6.0, 0.0);
+    Rng d(37), e(37);
+    EXPECT_EQ(d.lognormal(fixed), 6.0);
+    EXPECT_EQ(d.next(), e.next());
+    EXPECT_THROW(Rng::lognormalParams(0.0, 0.5), sim::PanicError);
+    EXPECT_THROW(Rng::lognormalParams(1.0, -0.5), sim::PanicError);
+}
+
 TEST(Rng, BoxMullerZeroDrawStaysFinite)
 {
     // Regression: uniform() returns exactly 0 with probability 2^-53;
