@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${1:-BENCH_simcore.json}
-FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_EventQueueCancelHalf|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate'}
+FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_EventQueueCancelHalf|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate|BM_ContendedSwitch'}
 JOBS=${JOBS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \

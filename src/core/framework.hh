@@ -265,8 +265,8 @@ class SchedulingFramework : public gpu::KernelSink
 
     /**
      * A context's physical mapping changed under it (residency swap):
-     * flush the TLB of every SM with that context loaded and force the
-     * context-load cost on the next assignment.
+     * every SM with that context loaded pays the context-load cost on
+     * its next assignment.
      */
     void onContextRemapped(sim::ContextId ctx);
 

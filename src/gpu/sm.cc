@@ -9,8 +9,8 @@
 namespace gpump {
 namespace gpu {
 
-Sm::Sm(sim::SmId id, std::size_t tlb_entries)
-    : id_(id), tlb_(tlb_entries)
+Sm::Sm(sim::SmId id)
+    : id_(id)
 {
 }
 

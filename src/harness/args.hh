@@ -47,7 +47,7 @@ class Args
                      const std::string &def) const;
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
     /** flagInt that additionally rejects zero and negative values —
-     *  the shared validator for parallelism degrees (--jobs, --shards,
+     *  the shared validator for parallelism degrees (--jobs and
      *  --workers), so every bench fails with the same message. */
     std::int64_t flagPositiveInt(const std::string &name,
                                  std::int64_t def) const;

@@ -105,45 +105,5 @@ PageTable::translate(VirtAddr va) const
     return it->second + va % gpuPageBytes;
 }
 
-Tlb::Tlb(std::size_t entries)
-    : capacity_(entries)
-{
-    GPUMP_ASSERT(entries > 0, "TLB with zero entries");
-}
-
-std::optional<PhysAddr>
-Tlb::access(const PageTable &pt, VirtAddr va)
-{
-    std::uint64_t vp = va / gpuPageBytes;
-    auto it = index_.find(vp);
-    if (it != index_.end()) {
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second + va % gpuPageBytes;
-    }
-
-    ++misses_;
-    auto frame = pt.translate(va);
-    if (!frame)
-        return std::nullopt; // fault: do not cache
-    PhysAddr base = *frame - va % gpuPageBytes;
-
-    if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-    }
-    lru_.emplace_front(vp, base);
-    index_[vp] = lru_.begin();
-    return *frame;
-}
-
-void
-Tlb::flush()
-{
-    ++flushes_;
-    lru_.clear();
-    index_.clear();
-}
-
 } // namespace memory
 } // namespace gpump

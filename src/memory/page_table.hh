@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-context page tables and the per-SM TLB model.
+ * Per-context page tables.
  *
  * Section 3.1 of the paper extends each SM with a base page table
  * register so that SMs running kernels from different contexts can
@@ -9,10 +9,8 @@
  * the private levels uses physical addresses, so no further changes
  * are needed.
  *
- * The functional model here provides:
- *  - a frame allocator and per-context page table (map/translate);
- *  - a small fully-associative LRU TLB per SM that must be flushed
- *    when the SM is re-targeted to a different context.
+ * The functional model here provides a frame allocator and a
+ * per-context page table (map/translate).
  */
 
 #ifndef GPUMP_MEMORY_PAGE_TABLE_HH
@@ -64,10 +62,7 @@ class FrameAllocator
     std::unordered_set<PhysAddr> freeSet_;
 };
 
-/**
- * One context's page table.  Walks are functional; the walk *latency*
- * is charged by the TLB model on a miss.
- */
+/** One context's page table.  Walks are functional. */
 class PageTable
 {
   public:
@@ -96,45 +91,6 @@ class PageTable
   private:
     FrameAllocator *frames_;
     std::unordered_map<std::uint64_t, PhysAddr> entries_; ///< vpage -> frame
-};
-
-/**
- * Fully-associative LRU TLB, one per SM.
- *
- * On a context switch of the SM the TLB must be flushed because the
- * new kernel translates through a different page table.
- */
-class Tlb
-{
-  public:
-    explicit Tlb(std::size_t entries = 64);
-
-    /**
-     * Look up @p va against @p pt, filling on miss.
-     * @return the translation, or std::nullopt for an unmapped access
-     *         (which is a fault; nothing is cached).
-     */
-    std::optional<PhysAddr> access(const PageTable &pt, VirtAddr va);
-
-    /** Drop all entries (SM re-targeted to another context, or the
-     *  context's physical mapping changed under it). */
-    void flush();
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    /** Times flush() ran (tests audit that every context change of an
-     *  SM flushed its TLB). */
-    std::uint64_t flushes() const { return flushes_; }
-    std::size_t capacity() const { return capacity_; }
-
-  private:
-    std::size_t capacity_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t flushes_ = 0;
-    /// LRU order: front = most recent.  Maps vpage -> paddr base.
-    std::list<std::pair<std::uint64_t, PhysAddr>> lru_;
-    std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_;
 };
 
 } // namespace memory

@@ -19,9 +19,9 @@
  *
  * Layering: this file lives in memory/ and must not depend on gpu/ or
  * core/, so the actual transfer submission and the two engine-side
- * questions ("is this context pinned on an SM?", "who must flush TLBs
- * after a remap?") are injected as callbacks at assembly
- * (workload::System wires them to the scheduling framework).
+ * questions ("is this context pinned on an SM?", "which SMs must
+ * reload the context after a remap?") are injected as callbacks at
+ * assembly (workload::System wires them to the scheduling framework).
  */
 
 #ifndef GPUMP_MEMORY_RESIDENCY_HH

@@ -11,7 +11,7 @@
  * with the scheduling framework at bind time
  * (SchedulingFramework::addCompletionObserver) and are invoked
  * synchronously on the TB/kernel completion path, in registration
- * order, which keeps runs deterministic for any --jobs/--shards
+ * order, which keeps runs deterministic for any --jobs/--workers
  * partitioning (the observer list is per-System state, never shared).
  *
  * Contract for implementations:

@@ -93,7 +93,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
 
     // Device-memory residency: swap transfers ride the same transfer
     // engine as workload copies; the engine-side questions (pinning,
-    // TLB shootdown after a remap) route back into the framework.
+    // context reload after a remap) route back into the framework.
     residency_ = std::make_unique<memory::ResidencyManager>(
         sim_->stats(), *gmem_,
         [this](sim::ContextId ctx, int priority, std::int64_t bytes,

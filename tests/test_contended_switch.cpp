@@ -2,9 +2,9 @@
  * Tests of the contended-switch model (gmem.contended_switch):
  * context save/restore bytes ride the transfer engine as driver-
  * originated commands, so preemption latency includes PCIe queueing;
- * plus the proactive_mem mechanism built on top of it, the per-SM TLB
- * flush contract, and the byte-identity guard for the default (off)
- * configuration.
+ * plus the proactive_mem mechanism built on top of it, the per-SM
+ * context-load contract, and the byte-identity guard for the default
+ * (off) configuration.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/proactive_mem.hh"
 #include "sim/logging.hh"
@@ -221,47 +222,101 @@ TEST(ProactiveMem, NonPositiveLookaheadIsFatal)
                  sim::FatalError);
 }
 
-TEST(TlbFlush, EveryContextChangingAssignmentFlushesOnce)
+namespace {
+
+/** Counts context loads — changes of Sm::loadedContext seen across
+ *  the framework's smAssigned notifications, per SM — and times the
+ *  setup of the last kernel to start (its last SM assignment to its
+ *  first issued TB), which is where a load is charged. */
+struct ContextLoadProbe : core::EngineObserver
+{
+    const sim::Simulation &sim;
+    std::vector<sim::ContextId> loaded;
+    std::vector<std::uint64_t> loads;
+    sim::SimTime assignedAt = -1;
+    sim::SimTime lastSetup = -1;
+
+    ContextLoadProbe(const sim::Simulation &s, int sms)
+        : sim(s),
+          loaded(static_cast<std::size_t>(sms), sim::invalidContext),
+          loads(static_cast<std::size_t>(sms), 0)
+    {
+    }
+
+    void smAssigned(const gpu::Sm &sm, const gpu::KernelExec &k) override
+    {
+        EXPECT_EQ(sm.loadedContext, k.ctx())
+            << "an assigned SM holds its kernel's context";
+        auto i = static_cast<std::size_t>(sm.id());
+        if (sm.loadedContext != loaded[i]) {
+            loaded[i] = sm.loadedContext;
+            ++loads[i];
+        }
+        assignedAt = sim.now();
+    }
+
+    void kernelStarted(const gpu::KernelExec &) override
+    {
+        lastSetup = sim.now() - assignedAt;
+    }
+
+    std::uint64_t total() const
+    {
+        std::uint64_t n = 0;
+        for (std::uint64_t l : loads)
+            n += l;
+        return n;
+    }
+};
+
+} // namespace
+
+TEST(ContextLoad, EveryContextChangingAssignmentLoadsOnce)
 {
     // Two SMs (the KSRT holds one kernel per SM, so one SM could
     // never admit the preemptor) and a fully deterministic sequence:
     // ctx0 takes both SMs, ctx1 preempts SM 0, finishes, ctx0 gets
     // SM 0 back.  That is four context-changing assignments in total
-    // — SM 0 flushes three times, SM 1 once — and nothing else may
-    // flush.
+    // — SM 0 loads a context three times, SM 1 once — and nothing
+    // else may reload.
     sim::Config cfg;
     cfg.set("gpu.num_sms", static_cast<std::int64_t>(2));
     DeviceRig rig("ppq_excl", "context_switch", std::move(cfg));
-    auto flushes = [&] {
-        return rig.framework.sm(0)->tlb().flushes() +
-               rig.framework.sm(1)->tlb().flushes();
-    };
-    EXPECT_EQ(flushes(), 0u);
+    ContextLoadProbe probe(rig.sim, 2);
+    const sim::SimTime with_load =
+        rig.params.smSetupLatency + rig.params.contextLoadLatency;
+    rig.framework.setObserver(&probe);
+    EXPECT_EQ(probe.total(), 0u);
 
     auto lo = test::makeProfile("lo", 40, 10.0, 4096, 0, 512);
     auto hi = test::makeProfile("hi", 4, 1.0, 4096, 0, 512);
     rig.launch(rig.queueFor(0), &lo, 0);
     rig.run(sim::microseconds(50.0));
-    EXPECT_EQ(flushes(), 2u)
+    EXPECT_EQ(probe.total(), 2u)
         << "first assignment of each SM loads ctx 0";
+    EXPECT_EQ(probe.lastSetup, with_load);
 
     rig.launch(rig.queueFor(1), &hi, 9);
     rig.run();
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
     EXPECT_EQ(rig.framework.preemptions(), 1u)
         << "hi needs one SM, so exactly one preemption";
-    EXPECT_EQ(rig.framework.sm(0)->tlb().flushes(), 3u)
+    EXPECT_EQ(probe.loads[0], 3u)
         << "SM 0: assign ctx0, preempt->assign ctx1, re-assign ctx0";
-    EXPECT_EQ(rig.framework.sm(1)->tlb().flushes(), 1u)
+    EXPECT_EQ(probe.loads[1], 1u)
         << "SM 1 keeps running ctx0 throughout";
+    EXPECT_EQ(probe.lastSetup, with_load) << "hi loads ctx 1";
 
-    // Both SMs last ran ctx 0 and keep its translations: launching
-    // another ctx-0 kernel must not flush.
+    // Both SMs last ran ctx 0 and keep it loaded: launching another
+    // ctx-0 kernel must not reload.
     auto lo2 = test::makeProfile("lo2", 8, 1.0, 4096, 0, 512);
     rig.launch(rig.queueFor(0), &lo2, 0);
     rig.run();
-    EXPECT_EQ(flushes(), 4u)
+    EXPECT_EQ(probe.total(), 4u)
         << "same-context relaunch must reuse the loaded context";
+    EXPECT_EQ(probe.lastSetup, rig.params.smSetupLatency)
+        << "and pay only the SM setup";
+    rig.framework.setObserver(nullptr);
 }
 
 TEST(ContendedSwitch, DefaultOffIsIdenticalToExplicitOff)

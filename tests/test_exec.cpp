@@ -457,7 +457,7 @@ TEST(ExecFlags, ParallelismFlagsRejectNonPositiveValues)
                  sim::FatalError);
     EXPECT_THROW(argsFor("--workers=-3").flagPositiveInt("workers", 0),
                  sim::FatalError);
-    EXPECT_THROW(argsFor("--shards=zap").flagPositiveInt("shards", 1),
+    EXPECT_THROW(argsFor("--jobs=zap").flagPositiveInt("jobs", 1),
                  sim::FatalError);
     EXPECT_EQ(argsFor("--jobs=8").flagPositiveInt("jobs", 1), 8);
     // Absent flag: default passes through unvalidated (0 means "off"

@@ -55,7 +55,7 @@ struct ObservationRig
         : profile(test::makeProfile("synthetic", num_tbs,
                                     declared_tb_us)),
           cmd(gpu::Command::makeKernel(0, 0, &profile)),
-          kernel(0, cmd, params, 64), sm(0, 32)
+          kernel(0, cmd, params, 64), sm(0)
     {
         sm.kernel = &kernel;
     }
@@ -275,15 +275,15 @@ TEST(PredAdaptive, ObservationHookDoesNotPerturbTheSchedule)
     EXPECT_EQ(timeline(false), timeline(true));
 }
 
-TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobsAndShards)
+TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobs)
 {
     // The predictor feeds on the completion stream, which is
     // deterministic per run; the whole pred_adaptive sweep must be
-    // bit-identical for any --jobs/--shards partitioning.
+    // bit-identical for any --jobs partitioning.
     sim::Config cfg;
     cfg.set("gpu.tb_time_cv", 0.25);
 
-    auto sweep = [&](int jobs, int shards) {
+    auto sweep = [&](int jobs) {
         harness::Suite suite("pred");
         suite.sizes({2, 4})
             .uniform(/*count=*/2, /*base_seed=*/20140614)
@@ -291,19 +291,16 @@ TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobsAndShards)
             .scheme("DSS-Pred", {"dss", "pred_adaptive", "fcfs"});
         harness::Batch batch = suite.build();
         harness::Runner runner(cfg, jobs);
-        runner.setRunShards(shards);
         return runner.run(batch.requests);
     };
 
-    auto base = sweep(1, 1);
-    for (auto [jobs, shards] : {std::pair<int, int>{2, 1},
-                                {1, 2},
-                                {2, 4}}) {
-        auto other = sweep(jobs, shards);
+    auto base = sweep(1);
+    for (int jobs : {2, 4}) {
+        auto other = sweep(jobs);
         ASSERT_EQ(base.size(), other.size());
         for (std::size_t i = 0; i < base.size(); ++i) {
             EXPECT_EQ(base[i].metrics.antt, other[i].metrics.antt)
-                << jobs << "x" << shards;
+                << jobs;
             EXPECT_EQ(base[i].metrics.stp, other[i].metrics.stp);
             EXPECT_EQ(base[i].metrics.ntt, other[i].metrics.ntt);
             EXPECT_EQ(base[i].sys.eventsExecuted,
