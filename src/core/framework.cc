@@ -65,6 +65,8 @@ void
 SchedulingFramework::setPolicy(std::unique_ptr<SchedulingPolicy> policy)
 {
     GPUMP_ASSERT(policy != nullptr, "null policy");
+    GPUMP_ASSERT(policy_ == nullptr,
+                 "scheduling policy already installed");
     policy_ = std::move(policy);
     policy_->bind(*this);
 }
@@ -74,6 +76,8 @@ SchedulingFramework::setMechanism(
     std::unique_ptr<PreemptionMechanism> mechanism)
 {
     GPUMP_ASSERT(mechanism != nullptr, "null mechanism");
+    GPUMP_ASSERT(mechanism_ == nullptr,
+                 "preemption mechanism already installed");
     mechanism_ = std::move(mechanism);
     mechanism_->bind(*this);
 }

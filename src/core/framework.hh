@@ -74,6 +74,9 @@ class SchedulingFramework : public gpu::KernelSink
     ~SchedulingFramework() override;
 
     /** @name Assembly
+     * Each scheme is installed exactly once: a second setPolicy or
+     * setMechanism panics (what the first one's bind() registered —
+     * completion observers — would outlive it).
      * @{ */
     void setPolicy(std::unique_ptr<SchedulingPolicy> policy);
     void setMechanism(std::unique_ptr<PreemptionMechanism> mechanism);

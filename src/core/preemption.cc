@@ -19,7 +19,6 @@ linkBuiltinMechanisms()
     GPUMP_FORCE_LINK(DrainingMechanism);
     GPUMP_FORCE_LINK(AdaptiveMechanism);
     GPUMP_FORCE_LINK(ProactiveMemMechanism);
-    GPUMP_FORCE_LINK(PredAdaptiveMechanism);
 }
 
 std::unique_ptr<PreemptionMechanism>

@@ -11,7 +11,10 @@
  *    resident ones run to completion (preemption at the thread-block
  *    boundary the programming model guarantees);
  *  - AdaptiveMechanism (core/adaptive.hh): picks one of the above per
- *    SM from the estimated drain time vs. the modeled save cost.
+ *    SM from the estimated drain time vs. the modeled save cost.  It
+ *    registers twice: "adaptive" reads the drain estimate off the
+ *    scheduled timeline (an oracle), "pred_adaptive" asks an online
+ *    runtime predictor (predict/predictor.hh).
  *
  * Mechanisms are policy-agnostic; policies are mechanism-agnostic
  * (Section 3: "mechanisms separated from policies").  Like policies,

@@ -3,12 +3,14 @@
  * The completion-observation hook: how measurement-fed schedulers see
  * the machine.
  *
- * The oracle-fed schemes (core/adaptive.hh) read the SM's resident
- * timeline — scheduled completion times no real driver knows.  The
- * predict/ subsystem instead consumes only what a driver can measure:
- * when a thread block was issued, when it completed, and when a kernel
- * finished.  CompletionObserver is that contract.  Observers register
- * with the scheduling framework at bind time
+ * The oracle estimator ("adaptive", core/adaptive.hh) reads the SM's
+ * resident timeline — scheduled completion times no real driver
+ * knows.  Measurement-fed schemes — the same mechanism's predicted
+ * estimator ("pred_adaptive") and the bore_burst policy — instead
+ * consume only what a driver can measure: when a thread block was
+ * issued, when it completed, and when a kernel finished.
+ * CompletionObserver is that contract.  Observers register with the
+ * scheduling framework at bind time
  * (SchedulingFramework::addCompletionObserver) and are invoked
  * synchronously on the TB/kernel completion path, in registration
  * order, which keeps runs deterministic for any --jobs/--workers
@@ -21,7 +23,11 @@
  *  - no allocation in steady state: hooks run per TB completion, the
  *    hottest event in the simulator;
  *  - no re-entrancy: hooks must not call back into scheduling
- *    operations (assignSm / reserveSm / admit) — they observe.
+ *    operations (assignSm / reserveSm / admit) — they observe;
+ *  - lifetime: the framework keeps observers by raw pointer and never
+ *    unregisters them.  A policy or mechanism is installed once
+ *    (setPolicy / setMechanism panic on a second install), so what it
+ *    registers from bind() lives exactly as long as the framework.
  */
 
 #ifndef GPUMP_PREDICT_OBSERVE_HH

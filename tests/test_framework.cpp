@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "core/adaptive.hh"
 #include "core/tables.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
@@ -73,6 +74,29 @@ TEST(Framework, AdmitBeyondCapacityPanics)
         rig.launch(rig.queueFor(c), &k);
     ASSERT_TRUE(rig.framework.activeQueueFull());
     EXPECT_THROW(rig.framework.admit(13), sim::PanicError);
+}
+
+TEST(Framework, SchemesInstallOnce)
+{
+    // Replacing a scheme would destroy it while the completion
+    // observers its bind() registered stay on the completion path, so
+    // a second install panics and leaves the first scheme in place.
+    DeviceRig rig("bore_burst", "pred_adaptive");
+    EXPECT_THROW(rig.framework.setMechanism(
+                     core::makeMechanism("context_switch")),
+                 sim::PanicError);
+    EXPECT_THROW(rig.framework.setPolicy(
+                     core::makePolicy("fcfs", rig.sim.config())),
+                 sim::PanicError);
+    auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
+    ASSERT_NE(mech.predictor(), nullptr);
+
+    // The installed schemes still observe a full run.
+    auto k = test::makeProfile("k", 64, 5.0);
+    rig.launch(rig.queueFor(0), &k, 0);
+    rig.run();
+    EXPECT_EQ(rig.framework.kernelsCompleted(), 1u);
+    EXPECT_EQ(mech.predictor()->observations(), 64u);
 }
 
 TEST(Framework, UnallocatedTbsAccountsGrantedCapacity)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "core/adaptive.hh"
@@ -197,22 +199,35 @@ TEST(Mechanisms, FactoryNamesAndAliases)
 
 namespace {
 
-/** Install an AdaptiveMechanism on a rig, keeping a typed handle. */
-core::AdaptiveMechanism *
-installAdaptive(DeviceRig &rig, double bias)
+/** The adaptive mechanism's two registrations: the oracle and the
+ *  predicted drain estimate. */
+const char *const kEstimators[] = {"adaptive", "pred_adaptive"};
+
+/**
+ * @p cfg plus drain bias @p bias for @p mechanism.  The predicted
+ * estimator trusts its model from the first preemption
+ * (pred.confidence_min=0), so both estimators face the same
+ * comparison instead of the predictor falling back on a cold model.
+ */
+sim::Config
+adaptiveConfig(const std::string &mechanism, double bias,
+               sim::Config cfg = sim::Config())
 {
-    auto mech = std::make_unique<core::AdaptiveMechanism>(bias);
-    core::AdaptiveMechanism *raw = mech.get();
-    rig.framework.setMechanism(std::move(mech));
-    return raw;
+    if (mechanism == "pred_adaptive") {
+        cfg.set("pred.bias", bias);
+        cfg.set("pred.confidence_min", 0.0);
+    } else {
+        cfg.set("adaptive.bias", bias);
+    }
+    return cfg;
 }
 
 } // namespace
 
 TEST(Adaptive, DrainsWhenResidentRemainderIsCheap)
 {
-    DeviceRig rig("ppq_excl", "context_switch");
-    core::AdaptiveMechanism *mech = installAdaptive(rig, 1.0);
+    DeviceRig rig("ppq_excl", "adaptive");
+    auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
 
     // Short TBs (2 us) with a fat context: 16 TBs/SM x 16 KiB = 256
     // KiB per SM -> modeled save ~16.5 us.  Draining (<= 2 us) wins.
@@ -223,8 +238,8 @@ TEST(Adaptive, DrainsWhenResidentRemainderIsCheap)
     rig.launch(rig.queueFor(1), &hi, 9);
     rig.run();
 
-    EXPECT_GT(mech->drainsChosen(), 0u);
-    EXPECT_EQ(mech->switchesChosen(), 0u);
+    EXPECT_GT(mech.drainsChosen(), 0u);
+    EXPECT_EQ(mech.switchesChosen(), 0u);
     EXPECT_DOUBLE_EQ(rig.framework.contextBytesSaved(), 0.0)
         << "cheap drains must not move context bytes";
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
@@ -232,8 +247,8 @@ TEST(Adaptive, DrainsWhenResidentRemainderIsCheap)
 
 TEST(Adaptive, SwitchesWhenDrainingWouldStall)
 {
-    DeviceRig rig("ppq_excl", "context_switch");
-    core::AdaptiveMechanism *mech = installAdaptive(rig, 1.0);
+    DeviceRig rig("ppq_excl", "adaptive");
+    auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
 
     // Long TBs (1000 us) with a slim context: 4 TBs/SM x 16 KiB = 64
     // KiB per SM -> modeled save ~4.6 us.  Context switch wins.
@@ -244,8 +259,8 @@ TEST(Adaptive, SwitchesWhenDrainingWouldStall)
     rig.launch(rig.queueFor(1), &hi, 9);
     rig.run(sim::milliseconds(20.0));
 
-    EXPECT_GT(mech->switchesChosen(), 0u);
-    EXPECT_EQ(mech->drainsChosen(), 0u);
+    EXPECT_GT(mech.switchesChosen(), 0u);
+    EXPECT_EQ(mech.drainsChosen(), 0u);
     EXPECT_GT(rig.framework.contextBytesSaved(), 0.0);
 }
 
@@ -253,25 +268,35 @@ TEST(Adaptive, BiasSkewsTheDecision)
 {
     // Same workload, two biases: bias 0 can only drain when the SM is
     // already at a block boundary (estimate 0), so it context-switches
-    // here; a huge bias always drains.
-    auto run_with = [](double bias) {
-        DeviceRig rig("ppq_excl", "context_switch");
-        core::AdaptiveMechanism *mech = installAdaptive(rig, bias);
+    // here; a huge bias always drains.  Both estimators see the same
+    // decisions: the resident blocks' scheduled and predicted
+    // remainders agree on which side of the bias they fall.
+    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+    auto run_with = [](const std::string &mechanism, double bias) {
+        DeviceRig rig("ppq_excl", mechanism,
+                      adaptiveConfig(mechanism, bias));
+        auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
         auto lo = test::makeProfile("lo", 2000, 50.0);
         auto hi = test::makeProfile("hi", 13, 1.0);
         rig.launch(rig.queueFor(0), &lo, 0);
         rig.run(sim::microseconds(10.0));
         rig.launch(rig.queueFor(1), &hi, 9);
         rig.run(sim::milliseconds(10.0));
-        return std::make_pair(mech->drainsChosen(),
-                              mech->switchesChosen());
+        EXPECT_EQ(mech.coldStarts(), 0u);
+        return Counts(mech.drainsChosen(), mech.switchesChosen());
     };
-    auto [drains0, switches0] = run_with(0.0);
-    EXPECT_EQ(drains0, 0u);
-    EXPECT_GT(switches0, 0u);
-    auto [drainsInf, switchesInf] = run_with(1e12);
-    EXPECT_GT(drainsInf, 0u);
-    EXPECT_EQ(switchesInf, 0u);
+    Counts at0[2], atInf[2];
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(kEstimators[i]);
+        at0[i] = run_with(kEstimators[i], 0.0);
+        EXPECT_EQ(at0[i].first, 0u);
+        EXPECT_GT(at0[i].second, 0u);
+        atInf[i] = run_with(kEstimators[i], 1e12);
+        EXPECT_GT(atInf[i].first, 0u);
+        EXPECT_EQ(atInf[i].second, 0u);
+    }
+    EXPECT_EQ(at0[0], at0[1]);
+    EXPECT_EQ(atInf[0], atInf[1]);
 }
 
 TEST(Adaptive, ContendedSaveEstimateCountsTransferBacklog)
@@ -284,12 +309,16 @@ TEST(Adaptive, ContendedSaveEstimateCountsTransferBacklog)
     // 32 MiB application copy occupies the engine, pushing the true
     // save cost past the drain estimate.  A backlog-blind estimate
     // (the pre-queue-aware model) picks the switch and then stalls
-    // behind the copy anyway.
-    auto run_with = [](std::int64_t copy_bytes) {
+    // behind the copy anyway.  Both estimators share the save model,
+    // so both must see the backlog.
+    using Counts = std::pair<std::uint64_t, std::uint64_t>;
+    auto run_with = [](const std::string &mechanism,
+                       std::int64_t copy_bytes) {
         sim::Config cfg;
         cfg.set("gmem.contended_switch", true);
-        DeviceRig rig("ppq_excl", "context_switch", cfg);
-        core::AdaptiveMechanism *mech = installAdaptive(rig, 1.0);
+        DeviceRig rig("ppq_excl", mechanism,
+                      adaptiveConfig(mechanism, 1.0, cfg));
+        auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
         auto lo = test::makeProfile("lo", 2000, 1000.0, 4096, 0, 512);
         auto hi = test::makeProfile("hi", 13, 1.0, 4096, 0, 2048);
         rig.launch(rig.queueFor(0), &lo, 0);
@@ -301,18 +330,26 @@ TEST(Adaptive, ContendedSaveEstimateCountsTransferBacklog)
         }
         rig.launch(rig.queueFor(1), &hi, 9);
         rig.run(sim::milliseconds(50.0));
-        return std::make_pair(mech->drainsChosen(),
-                              mech->switchesChosen());
+        EXPECT_EQ(mech.coldStarts(), 0u);
+        return Counts(mech.drainsChosen(), mech.switchesChosen());
     };
 
-    auto [drains_idle, switches_idle] = run_with(0);
-    EXPECT_EQ(drains_idle, 0u) << "idle engine: the switch stays cheap";
-    EXPECT_GT(switches_idle, 0u);
+    Counts idle[2], busy[2];
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(kEstimators[i]);
+        idle[i] = run_with(kEstimators[i], 0);
+        EXPECT_EQ(idle[i].first, 0u)
+            << "idle engine: the switch stays cheap";
+        EXPECT_GT(idle[i].second, 0u);
 
-    auto [drains_busy, switches_busy] = run_with(32ll << 20);
-    EXPECT_GT(drains_busy, 0u)
-        << "a queued 32 MiB copy must make draining the cheaper choice";
-    EXPECT_EQ(switches_busy, 0u);
+        busy[i] = run_with(kEstimators[i], 32ll << 20);
+        EXPECT_GT(busy[i].first, 0u)
+            << "a queued 32 MiB copy must make draining the cheaper "
+               "choice";
+        EXPECT_EQ(busy[i].second, 0u);
+    }
+    EXPECT_EQ(idle[0], idle[1]);
+    EXPECT_EQ(busy[0], busy[1]);
 }
 
 TEST(Adaptive, EndToEndThroughSystemSpec)

@@ -1,23 +1,22 @@
 /**
  * Tests of the predict/ subsystem: the online runtime predictor, the
  * BORE-style burst estimator, and the measurement-fed registrants
- * (pred_adaptive, bore_burst) built on the completion-observation
- * hook.
+ * built on the completion-observation hook (pred_adaptive, the
+ * adaptive mechanism's predicted estimator, and bore_burst).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <utility>
 
+#include "core/adaptive.hh"
 #include "core/framework.hh"
 #include "harness/runner.hh"
 #include "harness/suite.hh"
 #include "predict/bore_burst.hh"
 #include "predict/burst.hh"
-#include "predict/pred_adaptive.hh"
 #include "predict/predictor.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
@@ -73,15 +72,15 @@ struct ObservationRig
     }
 };
 
-predict::PredAdaptiveMechanism *
-installPredAdaptive(DeviceRig &rig, double alpha, double cmin,
-                    double bias)
+/** pred_adaptive's tunables, spelled out (the registry defaults). */
+sim::Config
+predConfig()
 {
-    auto mech = std::make_unique<predict::PredAdaptiveMechanism>(
-        alpha, cmin, bias);
-    predict::PredAdaptiveMechanism *raw = mech.get();
-    rig.framework.setMechanism(std::move(mech));
-    return raw;
+    sim::Config cfg;
+    cfg.set("pred.ewma_alpha", 0.25);
+    cfg.set("pred.confidence_min", 0.5);
+    cfg.set("pred.bias", 1.0);
+    return cfg;
 }
 
 } // namespace
@@ -150,10 +149,6 @@ TEST(Predictor, DrainEstimateUsesElapsedTimeNotTheOracle)
     rig.sm.insertResident(
         {0, now - sim::microseconds(500.0), /*endAt=*/1, /*seq=*/0});
     EXPECT_DOUBLE_EQ(pred.estimatedDrainTimeUs(rig.sm, now), 0.0);
-
-    // Structural remaining work: per-TB estimate x remaining grid.
-    EXPECT_NEAR(pred.estimatedRemainingWorkUs(rig.kernel),
-                40.0 * rig.kernel.totalTbs(), 1e-3);
 }
 
 TEST(Burst, BinaryShiftSmoothingAndLog2Bucketing)
@@ -206,8 +201,8 @@ TEST(PredAdaptive, ColdModelFallsBackToContextSwitch)
     // Long TBs (1000 us): nothing completes before the preemption, so
     // the model is cold (confidence 0 < 0.5) and the mechanism must
     // take the bounded-cost context switch, counting the cold start.
-    DeviceRig rig("ppq_excl", "context_switch");
-    auto *mech = installPredAdaptive(rig, 0.25, 0.5, 1.0);
+    DeviceRig rig("ppq_excl", "pred_adaptive", predConfig());
+    auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
 
     auto lo = test::makeProfile("lo", 2000, 1000.0, 4096, 0, 512);
     auto hi = test::makeProfile("hi", 13, 1.0);
@@ -216,10 +211,10 @@ TEST(PredAdaptive, ColdModelFallsBackToContextSwitch)
     rig.launch(rig.queueFor(1), &hi, 9);
     rig.run();
 
-    EXPECT_GT(mech->switchesChosen(), 0u);
-    EXPECT_EQ(mech->coldStarts(), mech->switchesChosen())
+    EXPECT_GT(mech.switchesChosen(), 0u);
+    EXPECT_EQ(mech.coldStarts(), mech.switchesChosen())
         << "every switch here must be a cold-start fallback";
-    EXPECT_EQ(mech->drainsChosen(), 0u);
+    EXPECT_EQ(mech.drainsChosen(), 0u);
     EXPECT_GT(rig.framework.contextBytesSaved(), 0.0);
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
 }
@@ -230,21 +225,22 @@ TEST(PredAdaptive, WarmModelDrainsWhenPredictedDrainIsCheap)
     // time the high-priority kernel arrives the model has plenty of
     // observations, the predicted drain (~2 us) undercuts the save,
     // and the drains must all land within the misprediction audit.
-    DeviceRig rig("ppq_excl", "context_switch");
-    auto *mech = installPredAdaptive(rig, 0.25, 0.5, 1.0);
+    DeviceRig rig("ppq_excl", "pred_adaptive", predConfig());
+    auto &mech = rig.mechanismAs<core::AdaptiveMechanism>();
 
     auto lo = test::makeProfile("lo", 2000, 2.0, 4096, 0, 128);
     auto hi = test::makeProfile("hi", 13, 1.0);
     rig.launch(rig.queueFor(0), &lo, 0);
     rig.run(sim::microseconds(10.0));
-    EXPECT_GT(mech->predictor().observations(), 0u);
+    ASSERT_NE(mech.predictor(), nullptr);
+    EXPECT_GT(mech.predictor()->observations(), 0u);
     rig.launch(rig.queueFor(1), &hi, 9);
     rig.run();
 
-    EXPECT_GT(mech->drainsChosen(), 0u);
-    EXPECT_EQ(mech->switchesChosen(), 0u);
-    EXPECT_EQ(mech->coldStarts(), 0u);
-    EXPECT_EQ(mech->mispredictions(), 0u)
+    EXPECT_GT(mech.drainsChosen(), 0u);
+    EXPECT_EQ(mech.switchesChosen(), 0u);
+    EXPECT_EQ(mech.coldStarts(), 0u);
+    EXPECT_EQ(mech.mispredictions(), 0u)
         << "constant-duration TBs must predict within 2x";
     EXPECT_DOUBLE_EQ(rig.framework.contextBytesSaved(), 0.0)
         << "predicted-cheap drains must not move context bytes";

@@ -355,6 +355,29 @@ TEST(SchemeRegistry, DeclaredDefaultsReachTheFactory)
     EXPECT_EQ(adaptive->bias(), 1.0);
 }
 
+TEST(SchemeRegistry, AdaptiveRegistersOracleAndPredictedEstimators)
+{
+    // One class, two registrations: the name selects the drain
+    // estimator, and only the predicted one owns a runtime model.
+    auto oracle = makeMechanism("adaptive");
+    auto *a = dynamic_cast<core::AdaptiveMechanism *>(oracle.get());
+    ASSERT_NE(a, nullptr);
+    EXPECT_STREQ(a->name(), "adaptive");
+    EXPECT_EQ(a->predictor(), nullptr);
+
+    auto predicted = makeMechanism("pred_adaptive");
+    auto *p = dynamic_cast<core::AdaptiveMechanism *>(predicted.get());
+    ASSERT_NE(p, nullptr);
+    EXPECT_STREQ(p->name(), "pred_adaptive");
+    EXPECT_NE(p->predictor(), nullptr);
+    EXPECT_EQ(p->bias(), 1.0);
+    EXPECT_EQ(p->confidenceMin(), 0.5);
+
+    sim::Config cfg;
+    cfg.set("pred.bias", -1.0);
+    EXPECT_THROW(makeMechanism("pred_adaptive", cfg), sim::FatalError);
+}
+
 TEST(SchemeRegistry, AdaptiveMechanismHasDeclaredBias)
 {
     const auto &d = mechanismRegistry().at("adaptive");

@@ -80,6 +80,14 @@ struct DeviceRig
         framework.setPolicy(core::makePolicy(policy, sim.config()));
     }
 
+    /** Typed handle on the installed mechanism (std::bad_cast when it
+     *  is not an @p M). */
+    template <typename M>
+    M &mechanismAs()
+    {
+        return dynamic_cast<M &>(framework.mechanism());
+    }
+
     /** Create a hardware queue for a context. */
     gpu::CommandQueue *queueFor(sim::ContextId ctx)
     {
