@@ -17,7 +17,6 @@
 #include "harness/args.hh"
 #include "harness/report.hh"
 #include "memory/gpu_memory.hh"
-#include "sim/stats.hh"
 #include "trace/parboil.hh"
 
 using namespace gpump;
@@ -27,9 +26,8 @@ main(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
-    sim::StatRegistry reg;
     memory::GpuMemory gmem(
-        reg, memory::GpuMemoryParams::fromConfig(args.config()));
+        memory::GpuMemoryParams::fromConfig(args.config()));
 
     harness::AsciiTable t({"Benchmark", "Kernel", "Launches",
                            "AvgTime(us)", "TBs", "Time/TB(us)",

@@ -2,8 +2,10 @@
  * @file
  * GPU contexts: the per-process device state.
  *
- * Each process using the GPU gets its own context holding the page
- * table of its GPU address space and its streams (Section 2.1).  The
+ * Each process using the GPU gets its own context holding its GPU
+ * address space and its streams (Section 2.1).  The address space is
+ * not modelled page by page: its device footprint is a byte count in
+ * memory::ResidencyManager, the one device-memory ledger.  The
  * multiprogramming extensions make the execution engine aware of
  * multiple active contexts through the context table (Section 3.1);
  * this class is one entry of that table plus the software-visible
@@ -17,7 +19,6 @@
 #include <functional>
 #include <vector>
 
-#include "memory/page_table.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -31,10 +32,8 @@ class GpuContext
      * @param id      device-unique context id.
      * @param owner   owning process.
      * @param priority process priority used by priority schedulers.
-     * @param frames  the device's physical frame allocator.
      */
-    GpuContext(sim::ContextId id, sim::ProcessId owner, int priority,
-               memory::FrameAllocator &frames);
+    GpuContext(sim::ContextId id, sim::ProcessId owner, int priority);
 
     sim::ContextId id() const { return id_; }
     sim::ProcessId owner() const { return owner_; }
@@ -42,8 +41,6 @@ class GpuContext
 
     /** The OS may retune priorities on the fly (Section 3.3). */
     void setPriority(int priority) { priority_ = priority; }
-
-    memory::PageTable &pageTable() { return pageTable_; }
 
     /** @name Outstanding-command tracking (device synchronisation)
      * @{ */
@@ -63,7 +60,6 @@ class GpuContext
     sim::ContextId id_;
     sim::ProcessId owner_;
     int priority_;
-    memory::PageTable pageTable_;
     int outstanding_ = 0;
     std::vector<std::function<void()>> waiters_;
     /** Reused firing list (capacity survives across device syncs) and

@@ -1,24 +1,21 @@
 /**
  * @file
- * GPU physical memory model.
+ * GPU device-memory bandwidth model.
  *
- * Current-generation GPUs (our GK110 baseline included) do not demand
- * page: every allocation from every context must fit in device memory
- * (paper Section 2.2).  This model tracks per-context allocations
- * against the physical capacity and provides the bandwidth-share
- * arithmetic the context-switch preemption mechanism relies on
- * (Section 3.2 / Table 1: an SM saving its context gets 1/NSMs of the
- * 208 GB/s of global memory bandwidth).
+ * This model provides the bandwidth-share arithmetic the
+ * context-switch preemption mechanism relies on (Section 3.2 /
+ * Table 1: an SM saving its context gets 1/NSMs of the 208 GB/s of
+ * global memory bandwidth).  Capacity is enforced elsewhere:
+ * memory::ResidencyManager keeps the one ledger of bytes on the
+ * device.
  */
 
 #ifndef GPUMP_MEMORY_GPU_MEMORY_HH
 #define GPUMP_MEMORY_GPU_MEMORY_HH
 
 #include <cstdint>
-#include <map>
 
 #include "sim/config.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -42,37 +39,13 @@ struct GpuMemoryParams
     static GpuMemoryParams fromConfig(const sim::Config &cfg);
 };
 
-/**
- * Tracks allocations per context and answers bandwidth-share timing
- * queries.
- */
+/** Answers bandwidth-share timing queries. */
 class GpuMemory
 {
   public:
-    GpuMemory(sim::StatRegistry &stats, const GpuMemoryParams &params);
+    explicit GpuMemory(const GpuMemoryParams &params) : params_(params) {}
 
     const GpuMemoryParams &params() const { return params_; }
-
-    /**
-     * Allocate @p bytes on behalf of @p ctx.
-     *
-     * Raises fatal() when the device would be oversubscribed, mirroring
-     * the out-of-memory failure a real allocation would report (no
-     * swap-out exists on the modelled hardware).
-     */
-    void allocate(sim::ContextId ctx, std::int64_t bytes);
-
-    /** Free @p bytes of @p ctx's allocations. @pre ctx owns >= bytes */
-    void free(sim::ContextId ctx, std::int64_t bytes);
-
-    /** Free everything @p ctx owns (context destruction). */
-    void freeAll(sim::ContextId ctx);
-
-    /** Bytes currently allocated by @p ctx. */
-    std::int64_t allocated(sim::ContextId ctx) const;
-
-    /** Bytes currently allocated across all contexts. */
-    std::int64_t totalAllocated() const { return total_; }
 
     /**
      * The bandwidth one of @p shares equal consumers observes.
@@ -91,10 +64,6 @@ class GpuMemory
 
   private:
     GpuMemoryParams params_;
-    std::map<sim::ContextId, std::int64_t> perContext_;
-    std::int64_t total_ = 0;
-    sim::Scalar peakAllocated_;
-    sim::Scalar allocCalls_;
 };
 
 } // namespace memory

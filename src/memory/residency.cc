@@ -8,8 +8,9 @@ namespace gpump {
 namespace memory {
 
 ResidencyManager::ResidencyManager(sim::StatRegistry &stats,
-                                   GpuMemory &gmem, SwapSubmit submit)
-    : gmem_(&gmem), submit_(std::move(submit)),
+                                   std::int64_t capacity,
+                                   SwapSubmit submit)
+    : capacity_(capacity), submit_(std::move(submit)),
       swapInsStat_(stats, "residency.swap_ins",
                    "contexts swapped into device memory"),
       swapOutsStat_(stats, "residency.swap_outs",
@@ -17,6 +18,7 @@ ResidencyManager::ResidencyManager(sim::StatRegistry &stats,
       swapBytes_(stats, "residency.swap_bytes",
                  "bytes moved by residency swaps (both directions)")
 {
+    GPUMP_ASSERT(capacity_ > 0, "non-positive device capacity");
     GPUMP_ASSERT(submit_ != nullptr, "residency without a swap path");
 }
 
@@ -49,32 +51,33 @@ ResidencyManager::find(sim::ContextId ctx) const
 
 void
 ResidencyManager::registerContext(sim::ContextId ctx, int priority,
-                                  std::int64_t footprint, PageTable &pt)
+                                  std::int64_t footprint)
 {
     GPUMP_ASSERT(footprint >= 0, "negative footprint");
     GPUMP_ASSERT(ctxs_.find(ctx) == ctxs_.end(),
                  "context %d registered twice", ctx);
-    if (footprint > gmem_->params().capacity) {
+    if (footprint > capacity_) {
         sim::fatal("context %d footprint %lld exceeds device capacity "
                    "%lld on its own; no co-residency can make it fit",
                    ctx, static_cast<long long>(footprint),
-                   static_cast<long long>(gmem_->params().capacity));
+                   static_cast<long long>(capacity_));
     }
 
     CtxInfo c;
     c.priority = priority;
     c.footprint = footprint;
-    c.pt = &pt;
     c.lastUse = ++useClock_;
 
     // Admission: take residency immediately when the footprint fits
     // alongside the contexts already admitted (the common,
     // non-oversubscribed case behaves exactly as before); otherwise
     // start swapped out and pay the swap-in when first scheduled.
-    if (footprint <= gmem_->params().capacity - gmem_->totalAllocated()) {
-        gmem_->allocate(ctx, footprint);
-        if (!pt.map(0, static_cast<std::uint64_t>(footprint)))
-            sim::fatal("out of GPU page frames for context %d", ctx);
+    // onDevice_ <= capacity_ and both are non-negative, so the
+    // subtraction cannot overflow; the natural `onDevice_ + bytes`
+    // form can, for adversarial capacity/footprint pairs (signed
+    // overflow is UB and would let an oversized context in).
+    if (footprint <= capacity_ - onDevice_) {
+        onDevice_ += footprint;
         c.state = State::Resident;
     } else {
         c.state = State::SwappedOut;
@@ -98,18 +101,16 @@ ResidencyManager::auditCapacity() const
             covered += kv.second.footprint;
     }
     // The modelled device cannot demand-page: state that does not fit
-    // does not exist, so more covered footprint than capacity means
-    // the simulation is now timing accesses to memory that was never
+    // does not exist, so a ledger that drifts from the footprints it
+    // covers, or more covered footprint than capacity, means the
+    // simulation is now timing accesses to memory that was never
     // there.
-    GPUMP_AUDIT(covered <= gmem_->params().capacity,
-                "resident + swapping-in footprint %lld exceeds device "
-                "capacity %lld",
+    GPUMP_AUDIT(onDevice_ == covered && covered <= capacity_,
+                "on-device ledger %lld, resident + swapping-in footprint "
+                "%lld: disagrees or exceeds device capacity %lld",
+                static_cast<long long>(onDevice_),
                 static_cast<long long>(covered),
-                static_cast<long long>(gmem_->params().capacity));
-    GPUMP_AUDIT(gmem_->totalAllocated() <= gmem_->params().capacity,
-                "GpuMemory allocation total %lld exceeds capacity %lld",
-                static_cast<long long>(gmem_->totalAllocated()),
-                static_cast<long long>(gmem_->params().capacity));
+                static_cast<long long>(capacity_));
 }
 
 void
@@ -163,7 +164,7 @@ ResidencyManager::ensureResident(sim::ContextId ctx,
 bool
 ResidencyManager::makeRoom(std::int64_t bytes, sim::ContextId incoming)
 {
-    while (bytes > gmem_->params().capacity - gmem_->totalAllocated()) {
+    while (bytes > capacity_ - onDevice_) {
         sim::ContextId victim = sim::invalidContext;
         std::uint64_t oldest = 0;
         for (const auto &kv : ctxs_) {
@@ -190,14 +191,13 @@ ResidencyManager::evict(sim::ContextId victim)
     CtxInfo &v = info(victim);
     GPUMP_ASSERT(v.state == State::Resident, "evicting non-resident %d",
                  victim);
-    v.pt->unmap(0, static_cast<std::uint64_t>(v.footprint));
-    gmem_->freeAll(victim);
+    onDevice_ -= v.footprint;
     v.state = State::SwappedOut;
     ++swapOuts_;
     ++swapOutsStat_;
     swapBytes_ += static_cast<double>(v.footprint);
-    // The victim's frames are reusable now; any SM still holding its
-    // translations must flush before the frames are re-handed out.
+    // The victim's memory is reusable now; any SM still holding its
+    // translations must flush before the memory is handed out again.
     if (remapNotify_)
         remapNotify_(victim);
     // The write-back occupies the transfer path; ordering with a
@@ -218,9 +218,7 @@ ResidencyManager::tryStartSwapIn(sim::ContextId ctx)
                  "swap-in of context %d in the wrong state", ctx);
     if (!makeRoom(c.footprint, ctx))
         return false;
-    gmem_->allocate(ctx, c.footprint);
-    if (!c.pt->map(0, static_cast<std::uint64_t>(c.footprint)))
-        sim::fatal("out of GPU page frames swapping in context %d", ctx);
+    onDevice_ += c.footprint;
     c.state = State::SwappingIn;
     ++swapIns_;
     ++swapInsStat_;

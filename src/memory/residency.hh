@@ -17,6 +17,10 @@
  * timing model charges whole-footprint transfers and does not track
  * dirty subsets.
  *
+ * The manager keeps the simulator's one device-memory ledger:
+ * onDevice() is the byte sum of the Resident and SwappingIn
+ * footprints, checked against the capacity at byte granularity.
+ *
  * Layering: this file lives in memory/ and must not depend on gpu/ or
  * core/, so the actual transfer submission and the two engine-side
  * questions ("is this context pinned on an SM?", "which SMs must
@@ -36,8 +40,6 @@
 // not violate memory/'s no-core-dependency rule (see its file
 // comment).
 #include "core/audit.hh"
-#include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -58,14 +60,15 @@ class ResidencyManager
         sim::ContextId ctx, int priority, std::int64_t bytes,
         bool to_device, std::function<void()> done)>;
 
-    ResidencyManager(sim::StatRegistry &stats, GpuMemory &gmem,
+    /** @param capacity device-memory capacity in bytes. */
+    ResidencyManager(sim::StatRegistry &stats, std::int64_t capacity,
                      SwapSubmit submit);
 
     /** True when @p ctx may not be swapped out (its kernels hold or
      *  are promised SMs).  Unset = nothing is ever pinned. */
     void setPinQuery(std::function<bool(sim::ContextId)> fn);
 
-    /** Ran after a context loses its physical frames, so stale
+    /** Ran after a context loses its device state, so stale
      *  per-SM translations can be flushed. */
     void setRemapNotifier(std::function<void(sim::ContextId)> fn);
 
@@ -73,11 +76,11 @@ class ResidencyManager
      * Admit a context with a fixed device footprint.  Raises fatal()
      * only when the footprint alone exceeds physical capacity; a
      * context that does not fit *now* is admitted swapped out.
-     * Resident contexts hold their GpuMemory allocation and page-table
-     * mapping; swapped-out contexts hold neither.
+     * Resident and swapping-in contexts count their footprint in
+     * onDevice(); swapped-out contexts count nothing.
      */
     void registerContext(sim::ContextId ctx, int priority,
-                         std::int64_t footprint, PageTable &pt);
+                         std::int64_t footprint);
 
     /** True when @p ctx's state is in device memory right now. */
     bool resident(sim::ContextId ctx) const;
@@ -101,22 +104,25 @@ class ResidencyManager
     double swapBytes() const { return swapBytes_.value(); }
     /** Requests currently parked for want of an evictable victim. */
     std::size_t parkedRequests() const { return parked_.size(); }
+    /** Bytes of device memory held: the summed footprints of the
+     *  Resident and SwappingIn contexts. */
+    std::int64_t onDevice() const { return onDevice_; }
     /** @} */
 
 #if GPUMP_AUDIT_ENABLED
     /** Test hook (audit builds only): mark @p ctx Resident without
-     *  allocating device memory, deliberately breaking the
-     *  covered-footprint ≤ capacity invariant so tests/test_audit.cpp
-     *  can watch auditCapacity() trip on the next mutator. */
+     *  counting its footprint in onDevice(), deliberately breaking
+     *  the ledger invariant so tests/test_audit.cpp can watch
+     *  auditCapacity() trip on the next mutator. */
     void auditForceResidentForTest(sim::ContextId ctx);
 #endif
 
   private:
     enum class State
     {
-        Resident,   ///< allocation + mapping held, state on device
-        SwappingIn, ///< allocation held, swap-in transfer in flight
-        SwappedOut, ///< no allocation, state lives on the host
+        Resident,   ///< footprint held, state on device
+        SwappingIn, ///< footprint held, swap-in transfer in flight
+        SwappedOut, ///< nothing held, state lives on the host
     };
 
     struct CtxInfo
@@ -124,7 +130,6 @@ class ResidencyManager
         State state = State::SwappedOut;
         int priority = 0;
         std::int64_t footprint = 0;
-        PageTable *pt = nullptr;
         std::uint64_t lastUse = 0; ///< LRU clock for victim selection
         bool parked = false;       ///< sitting in parked_
         std::vector<std::function<void()>> waiters;
@@ -137,20 +142,21 @@ class ResidencyManager
      *  victim remains (caller parks the request). */
     bool makeRoom(std::int64_t bytes, sim::ContextId incoming);
     void evict(sim::ContextId victim);
-    /** Allocate, map and start the swap-in transfer; false when room
-     *  could not be made. */
+    /** Take the footprint and start the swap-in transfer; false when
+     *  room could not be made. */
     bool tryStartSwapIn(sim::ContextId ctx);
     void finishSwapIn(sim::ContextId ctx);
     void retryParked();
 
 #if GPUMP_AUDIT_ENABLED
-    /** O(#contexts) walk: every byte of Resident/SwappingIn footprint
-     *  must fit in device capacity, as must GpuMemory's own
-     *  allocation total.  Called after every residency transition. */
+    /** O(#contexts) walk: onDevice_ must equal the summed
+     *  Resident/SwappingIn footprint and fit in device capacity.
+     *  Called after every residency transition. */
     void auditCapacity() const;
 #endif
 
-    GpuMemory *gmem_;
+    std::int64_t capacity_;
+    std::int64_t onDevice_ = 0; ///< Σ footprint of non-SwappedOut ctxs
     SwapSubmit submit_;
     std::function<bool(sim::ContextId)> pinned_;
     std::function<void(sim::ContextId)> remapNotify_;

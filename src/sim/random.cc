@@ -177,32 +177,6 @@ Rng::exponential(double mean)
 }
 
 void
-Rng::fillUniform(double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = uniform();
-}
-
-void
-Rng::fillNormal(double *out, std::size_t n, double mean, double stddev)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = mean + stddev * normal();
-}
-
-void
-Rng::fillLognormal(double *out, std::size_t n, double mean, double cv)
-{
-    // The (mu, sigma) solve — two logs and a square root per sample
-    // in the sequential path — is hoisted out of the loop; each
-    // sample then runs exactly the arithmetic lognormal() runs, so
-    // the outputs are bit-identical to n sequential calls.
-    const LognormalParams params = lognormalParams(mean, cv);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = lognormal(params);
-}
-
-void
 Rng::fillExponential(double *out, std::size_t n, double mean)
 {
     GPUMP_ASSERT(mean > 0.0, "exponential: mean must be positive");

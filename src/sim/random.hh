@@ -132,23 +132,15 @@ class Rng
     /** Exponential with the given mean. @pre mean > 0 */
     double exponential(double mean);
 
-    /** @name Batched draws
-     * Fill out[0..n) with samples.  Each produces the exact bit
-     * pattern the corresponding n sequential single-sample calls
-     * would have produced (same raw-draw consumption, same per-sample
-     * arithmetic), while hoisting the per-call parameter setup out of
-     * the loop — the issue loop's amortization win when sampling a
-     * wave of thread-block durations from one kernel profile.
-     * @{ */
-    void fillUniform(double *out, std::size_t n);
-    void fillNormal(double *out, std::size_t n, double mean,
-                    double stddev);
-    /** @pre mean > 0, cv >= 0 */
-    void fillLognormal(double *out, std::size_t n, double mean,
-                       double cv);
-    /** @pre mean > 0 */
+    /**
+     * Fill out[0..n) with exponential samples of the given mean.
+     * Produces the exact bit pattern n sequential exponential(mean)
+     * calls would have produced (same raw-draw consumption, same
+     * per-sample arithmetic); serve/arrival.cc draws Poisson
+     * inter-arrival gaps in chunks through it.
+     * @pre mean > 0
+     */
     void fillExponential(double *out, std::size_t n, double mean);
-    /** @} */
 
     /**
      * Fork a child generator with an independent stream.

@@ -56,10 +56,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
 
     gpuParams_ = gpu::GpuParams::fromConfig(cfg);
     gmem_ = std::make_unique<memory::GpuMemory>(
-        sim_->stats(), memory::GpuMemoryParams::fromConfig(cfg));
-    frames_ = std::make_unique<memory::FrameAllocator>(
-        static_cast<std::uint64_t>(gmem_->params().capacity) /
-        memory::gpuPageBytes);
+        memory::GpuMemoryParams::fromConfig(cfg));
     pcie_ = std::make_unique<memory::PcieBus>(
         sim_->stats(), memory::PcieParams::fromConfig(cfg));
 
@@ -95,7 +92,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
     // engine as workload copies; the engine-side questions (pinning,
     // context reload after a remap) route back into the framework.
     residency_ = std::make_unique<memory::ResidencyManager>(
-        sim_->stats(), *gmem_,
+        sim_->stats(), gmem_->params().capacity,
         [this](sim::ContextId ctx, int priority, std::int64_t bytes,
                bool to_device, std::function<void()> done) {
             framework_->submitContextTransfer(
@@ -140,7 +137,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
 
         auto ctx = std::make_unique<gpu::GpuContext>(
             static_cast<sim::ContextId>(i),
-            static_cast<sim::ProcessId>(i), priority, *frames_);
+            static_cast<sim::ProcessId>(i), priority);
 
         // The process's device footprint: inputs, outputs and scratch.
         // The residency manager admits it — resident immediately when
@@ -150,8 +147,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         // own is fatal.
         std::int64_t footprint =
             bench.bytesH2D() + bench.bytesD2H() + scratch_bytes;
-        residency_->registerContext(ctx->id(), priority, footprint,
-                                    ctx->pageTable());
+        residency_->registerContext(ctx->id(), priority, footprint);
 
         gpu::CommandQueue *queue = dispatcher_->createQueue(
             ctx->id(), gpuParams_.numHwQueues);

@@ -24,8 +24,6 @@
 
 #include "core/audit.hh"
 #include "harness/suite.hh"
-#include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "memory/residency.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
@@ -96,31 +94,20 @@ TEST(Audit, GoldenAggregateIdenticalWithAndWithoutAudits)
 
 namespace {
 
-constexpr std::int64_t kPage = static_cast<std::int64_t>(memory::gpuPageBytes);
+constexpr std::int64_t kMiB = std::int64_t{1} << 20;
 
-/** GpuMemory + frames + a manager whose swap transfers are recorded,
- *  mirroring test_residency.cpp's rig. */
+/** A manager whose swap transfers go nowhere, mirroring
+ *  test_residency.cpp's rig. */
 struct AuditResidencyRig
 {
     sim::StatRegistry reg;
-    memory::GpuMemory gmem;
-    memory::FrameAllocator frames;
     memory::ResidencyManager rm;
 
-    explicit AuditResidencyRig(std::int64_t capacity_pages)
-        : gmem(reg, paramsFor(capacity_pages)),
-          frames(static_cast<std::size_t>(capacity_pages)),
-          rm(reg, gmem,
+    explicit AuditResidencyRig(std::int64_t capacity)
+        : rm(reg, capacity,
              [](sim::ContextId, int, std::int64_t, bool,
                 std::function<void()>) {})
     {
-    }
-
-    static memory::GpuMemoryParams paramsFor(std::int64_t pages)
-    {
-        memory::GpuMemoryParams p;
-        p.capacity = pages * kPage;
-        return p;
     }
 };
 
@@ -164,17 +151,16 @@ TEST(AuditDeathTest, CorruptedLaneTreeAborts)
 
 TEST(AuditDeathTest, OverCapacityResidencyAborts)
 {
-    AuditResidencyRig rig(8);
-    memory::PageTable pt0(rig.frames);
-    memory::PageTable pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 6 * kPage, pt0); // admitted resident
-    rig.rm.registerContext(1, 0, 6 * kPage, pt1); // parked swapped-out
+    AuditResidencyRig rig(8 * kMiB);
+    rig.rm.registerContext(0, 0, 6 * kMiB); // admitted resident
+    rig.rm.registerContext(1, 0, 6 * kMiB); // parked swapped-out
     ASSERT_TRUE(rig.rm.resident(0));
     ASSERT_FALSE(rig.rm.resident(1));
 
-    // Force the second context Resident without an allocation: 12
-    // pages of "resident" footprint on an 8-page device.  The next
-    // mutator's capacity walk must abort.
+    // Force the second context Resident without counting it in the
+    // ledger: 12 MiB of "resident" footprint on an 8 MiB device, and
+    // a ledger that says 6 MiB.  The next mutator's capacity walk
+    // must abort.
     rig.rm.auditForceResidentForTest(1);
     EXPECT_DEATH(rig.rm.ensureResident(0, [] {}),
                  "exceeds device capacity");

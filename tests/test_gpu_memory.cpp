@@ -1,100 +1,24 @@
-/** Unit tests for the GPU memory model. */
+/** Unit tests for the GPU memory bandwidth-share model.  Capacity
+ *  is the residency manager's ledger (tests/test_residency.cpp). */
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "memory/gpu_memory.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
 
 using namespace gpump;
 using namespace gpump::memory;
 
-TEST(GpuMemory, AllocationAccounting)
-{
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
-    m.allocate(0, 1000);
-    m.allocate(1, 500);
-    m.allocate(0, 200);
-    EXPECT_EQ(m.allocated(0), 1200);
-    EXPECT_EQ(m.allocated(1), 500);
-    EXPECT_EQ(m.totalAllocated(), 1700);
-    m.free(0, 1200);
-    EXPECT_EQ(m.allocated(0), 0);
-    m.freeAll(1);
-    EXPECT_EQ(m.totalAllocated(), 0);
-}
-
-TEST(GpuMemory, NoDemandPagingOverflowIsFatal)
-{
-    sim::StatRegistry reg;
-    GpuMemoryParams p;
-    p.capacity = 1000;
-    GpuMemory m(reg, p);
-    m.allocate(0, 900);
-    EXPECT_THROW(m.allocate(1, 200), sim::FatalError)
-        << "allocations from all contexts must fit in physical memory";
-    EXPECT_EQ(m.totalAllocated(), 900) << "failed alloc changes nothing";
-}
-
-TEST(GpuMemory, CapacityCheckDoesNotOverflow)
-{
-    // The admission check is `bytes > capacity - total_`, not
-    // `total_ + bytes > capacity`: the sum form overflows std::int64_t
-    // for adversarial capacity/allocation pairs (signed overflow is
-    // UB, and with wrapping semantics the oversized allocation would
-    // be ADMITTED because the sum goes negative).
-    sim::StatRegistry reg;
-    GpuMemoryParams p;
-    p.capacity = std::numeric_limits<std::int64_t>::max() - 10;
-    GpuMemory m(reg, p);
-    m.allocate(0, 1000);
-    EXPECT_THROW(
-        m.allocate(1, std::numeric_limits<std::int64_t>::max() - 500),
-        sim::FatalError)
-        << "near-INT64_MAX allocation must be rejected, not wrapped";
-    EXPECT_EQ(m.totalAllocated(), 1000);
-}
-
-TEST(GpuMemory, CapacityBoundaryIsExact)
-{
-    sim::StatRegistry reg;
-    GpuMemoryParams p;
-    p.capacity = 1000;
-    GpuMemory m(reg, p);
-    m.allocate(0, 999);
-    m.allocate(1, 1); // exactly full is legal
-    EXPECT_EQ(m.totalAllocated(), 1000);
-    EXPECT_THROW(m.allocate(2, 1), sim::FatalError)
-        << "one byte past capacity must fail";
-    m.free(1, 1);
-    m.allocate(2, 1); // freed byte is reusable
-    EXPECT_EQ(m.totalAllocated(), 1000);
-}
-
 TEST(GpuMemory, NegativeMoveBytesPanics)
 {
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
+    GpuMemory m(GpuMemoryParams{});
     EXPECT_THROW(m.moveTime(-1, 13), sim::PanicError)
         << "a negative payload is a caller bug, not a zero-time move";
 }
 
-TEST(GpuMemory, FreeingUnownedPanics)
-{
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
-    m.allocate(0, 100);
-    EXPECT_THROW(m.free(0, 200), sim::PanicError);
-    EXPECT_THROW(m.free(3, 1), sim::PanicError);
-}
-
 TEST(GpuMemory, BandwidthShareMatchesTable1Model)
 {
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{}); // 208 GB/s
+    GpuMemory m(GpuMemoryParams{}); // 208 GB/s
     // One of 13 SMs gets 16 GB/s.
     EXPECT_DOUBLE_EQ(m.bandwidthShare(13), 16e9);
     // lbm.StreamCollide: (4*4320 regs + 0 shmem) * 15 TBs = 259200 B
@@ -104,8 +28,7 @@ TEST(GpuMemory, BandwidthShareMatchesTable1Model)
 
 TEST(GpuMemory, FullContextSaveTimeIsPaper44us)
 {
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
+    GpuMemory m(GpuMemoryParams{});
     // The introduction quotes ~44 us to move the full 256 KB register
     // file + 48 KB shared memory of an SM at *peak* bandwidth... at
     // the full 208 GB/s the 304 KiB move takes ~1.5 us; the 44 us
@@ -117,15 +40,13 @@ TEST(GpuMemory, FullContextSaveTimeIsPaper44us)
 
 TEST(GpuMemory, MoveTimeRoundsUp)
 {
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
+    GpuMemory m(GpuMemoryParams{});
     EXPECT_EQ(m.moveTime(1, 13), 1) << "sub-ns moves round up to 1 ns";
     EXPECT_EQ(m.moveTime(0, 13), 0);
 }
 
 TEST(GpuMemory, InvalidShareCountPanics)
 {
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
+    GpuMemory m(GpuMemoryParams{});
     EXPECT_THROW(m.bandwidthShare(0), sim::PanicError);
 }

@@ -15,7 +15,6 @@
 
 #include "gpu/gpu_config.hh"
 #include "memory/gpu_memory.hh"
-#include "sim/stats.hh"
 #include "trace/parboil.hh"
 
 using namespace gpump;
@@ -100,8 +99,7 @@ TEST_P(Table1Test, SaveTimeMatchesPublishedMicroseconds)
     const Table1Row &row = GetParam();
     const trace::KernelProfile &k = profileByName(row.fullName);
     gpu::GpuParams params;
-    sim::StatRegistry reg;
-    memory::GpuMemory gmem(reg, memory::GpuMemoryParams{});
+    memory::GpuMemory gmem(memory::GpuMemoryParams{});
     sim::SimTime save =
         gmem.moveTime(gpu::smContextBytes(k, params), params.numSms);
     EXPECT_NEAR(sim::toMicroseconds(save), row.saveTimeUs, 0.01)

@@ -198,43 +198,12 @@ TEST(Rng, ExponentialMean)
 
 TEST(Rng, BatchedDrawsMatchSequentialBitForBit)
 {
-    // The fill* APIs must produce the exact stream sequential calls
-    // produce: same raw-draw consumption, same per-sample arithmetic
-    // (only the per-call parameter setup is hoisted).  Checked with
-    // EXPECT_EQ on doubles, i.e. bit-for-bit.
+    // fillExponential must produce the exact stream sequential calls
+    // produce: same raw-draw consumption, same per-sample arithmetic.
+    // Checked with EXPECT_EQ on doubles, i.e. bit-for-bit.
     constexpr std::size_t n = 4096;
     std::vector<double> batched(n), sequential(n);
 
-    {
-        Rng a(7), b(7);
-        a.fillUniform(batched.data(), n);
-        for (auto &v : sequential)
-            v = b.uniform();
-        EXPECT_EQ(batched, sequential);
-    }
-    {
-        Rng a(11), b(11);
-        a.fillNormal(batched.data(), n, 5.0, 2.5);
-        for (auto &v : sequential)
-            v = b.normal(5.0, 2.5);
-        EXPECT_EQ(batched, sequential);
-    }
-    {
-        Rng a(13), b(13);
-        a.fillLognormal(batched.data(), n, 8.7, 0.4);
-        for (auto &v : sequential)
-            v = b.lognormal(8.7, 0.4);
-        EXPECT_EQ(batched, sequential);
-    }
-    {
-        // cv == 0 degenerates to the constant mean in both paths.
-        Rng a(17), b(17);
-        a.fillLognormal(batched.data(), n, 3.0, 0.0);
-        for (auto &v : sequential)
-            v = b.lognormal(3.0, 0.0);
-        EXPECT_EQ(batched, sequential);
-        EXPECT_EQ(a.next(), b.next()) << "neither path may draw";
-    }
     {
         Rng a(19), b(19);
         a.fillExponential(batched.data(), n, 3.0);
@@ -246,11 +215,11 @@ TEST(Rng, BatchedDrawsMatchSequentialBitForBit)
     // Interleaving batched and sequential draws continues one stream.
     Rng interleaved(23), plain(23);
     double chunk[16];
-    interleaved.fillLognormal(chunk, 16, 2.0, 0.3);
-    double after_batch = interleaved.lognormal(2.0, 0.3);
+    interleaved.fillExponential(chunk, 16, 2.0);
+    double after_batch = interleaved.exponential(2.0);
     for (int i = 0; i < 16; ++i)
-        plain.lognormal(2.0, 0.3);
-    EXPECT_EQ(after_batch, plain.lognormal(2.0, 0.3));
+        plain.exponential(2.0);
+    EXPECT_EQ(after_batch, plain.exponential(2.0));
 }
 
 TEST(Rng, PresolvedLognormalMatchesPerCallSolveBitForBit)

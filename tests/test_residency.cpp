@@ -1,19 +1,19 @@
 /**
  * Tests of device-memory residency (memory/residency.hh): per-context
- * admission, LRU eviction with pinning, swap-in completion plumbing,
- * and the end-to-end oversubscribed run where swap traffic is charged
- * on the PCIe transfer path.
+ * admission, the byte ledger of what is on the device, LRU eviction
+ * with pinning, swap-in completion plumbing, and the end-to-end
+ * oversubscribed run where swap traffic is charged on the PCIe
+ * transfer path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
-#include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "memory/residency.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -25,7 +25,7 @@ using namespace gpump::memory;
 
 namespace {
 
-constexpr std::int64_t kPage = static_cast<std::int64_t>(gpuPageBytes);
+constexpr std::int64_t kMiB = std::int64_t{1} << 20;
 
 /** One recorded swap submission. */
 struct SwapRec
@@ -36,33 +36,22 @@ struct SwapRec
     std::function<void()> done;
 };
 
-/** GpuMemory + frame allocator + a manager whose swap transfers are
- *  recorded instead of simulated; tests complete them by hand. */
+/** A manager whose swap transfers are recorded instead of simulated;
+ *  tests complete them by hand. */
 struct ResidencyRig
 {
     sim::StatRegistry reg;
-    GpuMemory gmem;
-    FrameAllocator frames;
     std::vector<SwapRec> swaps;
     ResidencyManager rm;
 
-    explicit ResidencyRig(std::int64_t capacity_pages)
-        : gmem(reg, paramsFor(capacity_pages)),
-          frames(static_cast<std::size_t>(capacity_pages)),
-          rm(reg, gmem,
+    explicit ResidencyRig(std::int64_t capacity)
+        : rm(reg, capacity,
              [this](sim::ContextId ctx, int, std::int64_t bytes,
                     bool to_device, std::function<void()> done) {
                  swaps.push_back(
                      {ctx, bytes, to_device, std::move(done)});
              })
     {
-    }
-
-    static GpuMemoryParams paramsFor(std::int64_t pages)
-    {
-        GpuMemoryParams p;
-        p.capacity = pages * kPage;
-        return p;
     }
 
     /** Run every pending swap-completion callback, in order. */
@@ -83,9 +72,8 @@ struct ResidencyRig
 
 TEST(Residency, FootprintBeyondCapacityIsFatal)
 {
-    ResidencyRig rig(8);
-    PageTable pt(rig.frames);
-    EXPECT_THROW(rig.rm.registerContext(0, 0, 9 * kPage, pt),
+    ResidencyRig rig(8 * kMiB);
+    EXPECT_THROW(rig.rm.registerContext(0, 0, 8 * kMiB + 1),
                  sim::FatalError)
         << "a footprint no eviction can ever make room for must be "
            "rejected at admission";
@@ -96,16 +84,14 @@ TEST(Residency, OversubscribedContextIsAdmittedSwappedOut)
     // The seed refused workloads whose combined footprints exceed
     // capacity.  Now only the per-context bound is fatal: the second
     // context is admitted without device memory.
-    ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    ResidencyRig rig(8 * kMiB);
+    rig.rm.registerContext(0, 0, 5 * kMiB);
+    rig.rm.registerContext(1, 0, 5 * kMiB);
 
     EXPECT_TRUE(rig.rm.resident(0));
     EXPECT_FALSE(rig.rm.resident(1));
-    EXPECT_EQ(rig.gmem.totalAllocated(), 5 * kPage);
-    EXPECT_EQ(pt0.mappedPages(), 5u);
-    EXPECT_EQ(pt1.mappedPages(), 0u);
+    EXPECT_EQ(rig.rm.onDevice(), 5 * kMiB)
+        << "only the resident context holds device memory";
     EXPECT_TRUE(rig.swaps.empty()) << "admission moves no data";
 
     bool ready = false;
@@ -116,10 +102,9 @@ TEST(Residency, OversubscribedContextIsAdmittedSwappedOut)
 
 TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
 {
-    ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    ResidencyRig rig(8 * kMiB);
+    rig.rm.registerContext(0, 0, 5 * kMiB);
+    rig.rm.registerContext(1, 0, 5 * kMiB);
 
     int ready = 0;
     rig.rm.ensureResident(1, [&] { ++ready; });
@@ -128,17 +113,18 @@ TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
     ASSERT_EQ(rig.swaps.size(), 2u);
     EXPECT_EQ(rig.swaps[0].ctx, 0);
     EXPECT_FALSE(rig.swaps[0].toDevice);
-    EXPECT_EQ(rig.swaps[0].bytes, 5 * kPage);
+    EXPECT_EQ(rig.swaps[0].bytes, 5 * kMiB);
     EXPECT_EQ(rig.swaps[1].ctx, 1);
     EXPECT_TRUE(rig.swaps[1].toDevice);
-    EXPECT_EQ(rig.swaps[1].bytes, 5 * kPage);
+    EXPECT_EQ(rig.swaps[1].bytes, 5 * kMiB);
 
-    // Eviction is immediate (frames reused for the incoming context);
-    // readiness is not.
+    // Eviction is immediate (the memory is reused for the incoming
+    // context); readiness is not.
     EXPECT_FALSE(rig.rm.resident(0));
-    EXPECT_EQ(pt0.mappedPages(), 0u);
-    EXPECT_EQ(pt1.mappedPages(), 5u);
-    EXPECT_EQ(rig.gmem.totalAllocated(), 5 * kPage);
+    EXPECT_FALSE(rig.rm.resident(1));
+    EXPECT_EQ(rig.rm.onDevice(), 5 * kMiB)
+        << "the victim's bytes left the ledger and the swapping-in "
+           "context's bytes entered it";
     EXPECT_EQ(ready, 0) << "not ready until the swap-in lands";
 
     // A second request while the swap-in is in flight just waits;
@@ -152,18 +138,18 @@ TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
     EXPECT_EQ(rig.rm.swapIns(), 1u);
     EXPECT_EQ(rig.rm.swapOuts(), 1u);
     EXPECT_DOUBLE_EQ(rig.rm.swapBytes(),
-                     static_cast<double>(10 * kPage));
+                     static_cast<double>(10 * kMiB));
+    EXPECT_EQ(rig.rm.onDevice(), 5 * kMiB);
 }
 
 TEST(Residency, PinnedResidentsParkTheRequestUntilRelease)
 {
-    ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
+    ResidencyRig rig(8 * kMiB);
     bool pinned = true;
     rig.rm.setPinQuery(
         [&](sim::ContextId ctx) { return ctx == 0 && pinned; });
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kMiB);
+    rig.rm.registerContext(1, 0, 5 * kMiB);
 
     bool ready = false;
     rig.rm.ensureResident(1, [&] { ready = true; });
@@ -184,15 +170,14 @@ TEST(Residency, PinnedResidentsParkTheRequestUntilRelease)
     EXPECT_FALSE(rig.rm.resident(0));
 }
 
-TEST(Residency, RemapNotifierFiresWhenAVictimLosesItsFrames)
+TEST(Residency, RemapNotifierFiresWhenAVictimLosesItsDeviceState)
 {
-    ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
+    ResidencyRig rig(8 * kMiB);
     std::vector<sim::ContextId> remapped;
     rig.rm.setRemapNotifier(
         [&](sim::ContextId ctx) { remapped.push_back(ctx); });
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kMiB);
+    rig.rm.registerContext(1, 0, 5 * kMiB);
 
     rig.rm.ensureResident(1, [] {});
     ASSERT_EQ(remapped.size(), 1u)
@@ -200,11 +185,114 @@ TEST(Residency, RemapNotifierFiresWhenAVictimLosesItsFrames)
     EXPECT_EQ(remapped[0], 0);
 }
 
+TEST(Residency, CapacityBoundaryIsExact)
+{
+    // The ledger is byte-granular: footprints that sum to exactly the
+    // capacity are co-resident, one byte more is not.
+    {
+        ResidencyRig rig(1000);
+        rig.rm.registerContext(0, 0, 999);
+        rig.rm.registerContext(1, 0, 1);
+        EXPECT_TRUE(rig.rm.resident(0));
+        EXPECT_TRUE(rig.rm.resident(1)) << "exactly full is legal";
+        EXPECT_EQ(rig.rm.onDevice(), 1000);
+    }
+    {
+        ResidencyRig rig(1000);
+        rig.rm.registerContext(0, 0, 999);
+        rig.rm.registerContext(1, 0, 2);
+        EXPECT_TRUE(rig.rm.resident(0));
+        EXPECT_FALSE(rig.rm.resident(1))
+            << "one byte past capacity is admitted swapped out";
+        EXPECT_EQ(rig.rm.onDevice(), 999);
+        EXPECT_TRUE(rig.swaps.empty());
+    }
+}
+
+TEST(Residency, CapacityCheckDoesNotOverflow)
+{
+    // The room check is `bytes > capacity - onDevice`, not
+    // `onDevice + bytes > capacity`: the sum form overflows
+    // std::int64_t for adversarial capacity/footprint pairs (signed
+    // overflow is UB, and with wrapping semantics the oversized
+    // context would be admitted resident because the sum goes
+    // negative).
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    ResidencyRig rig(kMax - 10);
+    rig.rm.registerContext(0, 0, 1000);
+    rig.rm.registerContext(1, 0, kMax - 500);
+    EXPECT_TRUE(rig.rm.resident(0));
+    EXPECT_FALSE(rig.rm.resident(1))
+        << "a near-INT64_MAX footprint must not wrap into room";
+    EXPECT_EQ(rig.rm.onDevice(), 1000);
+
+    // Evicting the small context makes room without wrapping either.
+    rig.rm.ensureResident(1, [] {});
+    EXPECT_FALSE(rig.rm.resident(0));
+    EXPECT_EQ(rig.rm.onDevice(), kMax - 500);
+    rig.completeSwaps();
+    EXPECT_TRUE(rig.rm.resident(1));
+    EXPECT_EQ(rig.rm.onDevice(), kMax - 500);
+}
+
+TEST(Residency, LedgerTracksEveryEvictionAndSwapIn)
+{
+    // onDevice() must equal the summed footprint of the contexts that
+    // hold device memory (resident, or with a swap-in in flight) after
+    // every eviction and every swap-in, checked here at each step of
+    // a three-context rotation on a device that fits two of them.
+    const std::vector<std::int64_t> footprint = {4 * kMiB, 5 * kMiB,
+                                                 3 * kMiB};
+    ResidencyRig rig(10 * kMiB);
+    auto held = [&] {
+        std::int64_t sum = 0;
+        for (std::size_t c = 0; c < footprint.size(); ++c) {
+            const auto ctx = static_cast<sim::ContextId>(c);
+            bool swapping_in = false;
+            for (const SwapRec &s : rig.swaps)
+                swapping_in |= s.ctx == ctx && s.toDevice && s.done;
+            if (rig.rm.resident(ctx) || swapping_in)
+                sum += footprint[c];
+        }
+        return sum;
+    };
+    int evictions = 0;
+    rig.rm.setRemapNotifier([&](sim::ContextId) {
+        ++evictions;
+        EXPECT_EQ(rig.rm.onDevice(), held()) << "inside an eviction";
+    });
+    for (std::size_t c = 0; c < footprint.size(); ++c)
+        rig.rm.registerContext(static_cast<sim::ContextId>(c), 0,
+                               footprint[c]);
+    EXPECT_EQ(rig.rm.onDevice(), 9 * kMiB) << "contexts 0 and 1 fit";
+    EXPECT_EQ(rig.rm.onDevice(), held());
+
+    // Each request evicts the least-recently-used resident context,
+    // then swaps the requested one in.
+    const std::vector<std::pair<sim::ContextId, std::int64_t>> steps = {
+        {2, 8 * kMiB}, // evict 0 (4), bring 2 (3) in next to 1 (5)
+        {0, 7 * kMiB}, // evict 1 (5), bring 0 (4) in next to 2 (3)
+        {1, 9 * kMiB}, // evict 2 (3), bring 1 (5) in next to 0 (4)
+    };
+    for (const auto &[ctx, expected] : steps) {
+        rig.rm.ensureResident(ctx, [] {});
+        EXPECT_EQ(rig.rm.onDevice(), expected) << "swap-in of " << ctx;
+        EXPECT_EQ(rig.rm.onDevice(), held()) << "swap-in of " << ctx;
+        rig.completeSwaps();
+        EXPECT_TRUE(rig.rm.resident(ctx));
+        EXPECT_EQ(rig.rm.onDevice(), expected) << "after " << ctx;
+        EXPECT_EQ(rig.rm.onDevice(), held()) << "after " << ctx;
+    }
+    EXPECT_EQ(evictions, 3);
+    EXPECT_EQ(rig.rm.swapIns(), 3u);
+    EXPECT_EQ(rig.rm.swapOuts(), 3u);
+}
+
 TEST(Residency, UnregisteredContextsAreAlwaysResident)
 {
     // Contexts without a footprint (tests, driver-internal work)
     // never swap.
-    ResidencyRig rig(8);
+    ResidencyRig rig(8 * kMiB);
     EXPECT_TRUE(rig.rm.resident(42));
     bool ready = false;
     rig.rm.ensureResident(42, [&] { ready = true; });
@@ -293,4 +381,27 @@ TEST(ResidencySystem, ResidentWorkloadsNeverSwap)
     EXPECT_EQ(system.residency().swapOuts(), 0u);
     EXPECT_EQ(system.framework().contextTransfers(), 0u)
         << "no driver-originated transfers at defaults";
+}
+
+TEST(ResidencySystem, FootprintThatFitsByBytesRuns)
+{
+    // tpacf's footprint with this scratch size fits the device by
+    // bytes but not when rounded up to 64 KiB pages.  Capacity is
+    // byte-granular, so the context is admitted resident and the run
+    // completes; a page-granular ledger would refuse it.
+    sim::Config cfg;
+    cfg.set("process.scratch_bytes", static_cast<std::int64_t>(33554433));
+    cfg.set("gmem.capacity", static_cast<std::int64_t>(34734081));
+    workload::SystemSpec spec;
+    spec.benchmarks = {"tpacf"};
+    spec.policy = "fcfs";
+    spec.minReplays = 1;
+    workload::System system(spec, cfg);
+    EXPECT_TRUE(system.residency().resident(0));
+    auto result = system.run(sim::seconds(30.0));
+
+    ASSERT_EQ(result.runs.size(), 1u);
+    EXPECT_EQ(result.runs[0].size(), 1u);
+    EXPECT_EQ(result.endTime, 5757588);
+    EXPECT_EQ(system.residency().swapIns(), 0u);
 }

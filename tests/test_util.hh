@@ -64,8 +64,7 @@ struct DeviceRig
                            gpu::TransferEngine::Policy::Fcfs)
         : sim(seed, std::move(cfg)),
           params(gpu::GpuParams::fromConfig(sim.config())),
-          gmem(sim.stats(),
-               memory::GpuMemoryParams::fromConfig(sim.config())),
+          gmem(memory::GpuMemoryParams::fromConfig(sim.config())),
           pcie(sim.stats(), memory::PcieParams::fromConfig(sim.config())),
           xfer(sim, pcie, xfer_policy),
           dispatcher(sim, xfer),
