@@ -1,9 +1,12 @@
 #include "harness/exec/wire.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "harness/report.hh"
 #include "sim/logging.hh"
@@ -156,7 +159,7 @@ class Parser
         JsonValue v;
         v.type = JsonValue::Type::Number;
         v.text = s_.substr(start, pos_ - start);
-        // Validate the token now so asInt64/asDouble can trust it.
+        // Validate the token now: malformed numbers fail at parse time.
         char *end = nullptr;
         std::strtod(v.text.c_str(), &end);
         if (v.text.empty() || end != v.text.c_str() + v.text.size())
@@ -269,19 +272,17 @@ JsonValue::asInt64(const char *what) const
     if (type != Type::Number)
         sim::fatal("wire: field %s is not a number", what);
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(text.c_str(), &end, 10);
     if (end != text.c_str() + text.size())
         sim::fatal("wire: field %s is not an integer ('%s')", what,
                    text.c_str());
+    // strtoll clamps an out-of-range token to the nearest bound; a
+    // clamped value would not re-encode to what was read.
+    if (errno == ERANGE)
+        sim::fatal("wire: field %s is out of int64 range ('%s')", what,
+                   text.c_str());
     return static_cast<std::int64_t>(v);
-}
-
-double
-JsonValue::asDouble(const char *what) const
-{
-    if (type != Type::Number)
-        sim::fatal("wire: field %s is not a number", what);
-    return std::strtod(text.c_str(), nullptr);
 }
 
 const std::string &
@@ -343,135 +344,220 @@ namespace {
  *  from another version must read as a miss, not misdecode. */
 constexpr std::int64_t wireVersion = 1;
 
-std::string
-hexArray(const std::vector<double> &values)
+/** The wire fields of one serving class, in wire order. */
+template <class Class, class Visitor>
+void
+forEachClassField(Class &c, Visitor &v)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out += (i ? "," : "") + jsonQuote(encodeHexDouble(values[i]));
-    out += ']';
-    return out;
+    v("name", c.name);
+    v("requests", c.requests);
+    v("completed", c.completed);
+    v("dropped", c.dropped);
+    v("misses", c.deadlineMisses);
+    v("n", c.latency.n);
+    v("mean", c.latency.mean);
+    v("p50", c.latency.p50);
+    v("p99", c.latency.p99);
+    v("p999", c.latency.p999);
+    v("max", c.latency.max);
+    v("miss_rate", c.missRate);
+    v("tput", c.throughputPerSec);
+    v("goodput", c.goodputPerSec);
 }
 
-std::string
-intArray(const std::vector<std::int64_t> &values)
+/** The wire fields of a RunResult, in wire order: the one list both
+ *  encodeResult() and decodeResult() are derived from.  `serving` is
+ *  visited before the fields it guards, so the decoder has set it by
+ *  the time the guard reads it. */
+template <class Result, class Visitor>
+void
+forEachField(Result &r, Visitor &v)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out += (i ? "," : "") + std::to_string(values[i]);
-    out += ']';
-    return out;
+    v("index", r.index);
+    v("tag", r.tag);
+    v("policy", r.scheme.policy);
+    v("mechanism", r.scheme.mechanism);
+    v("transfer", r.scheme.transferPolicy);
+    v("ntt", r.metrics.ntt);
+    v("antt", r.metrics.antt);
+    v("stp", r.metrics.stp);
+    v("fairness", r.metrics.fairness);
+    v("isolated_us", r.isolatedUs);
+    v("turnaround_us", r.sys.meanTurnaroundUs);
+    v("latency_us", r.sys.meanLatencyUs);
+    v("dropped", r.sys.droppedRequests);
+    // Per-process run records as [start, end, release] triples: the
+    // full SystemResult survives the hop, not just its aggregates.
+    v("runs", r.sys.runs);
+    v("end_time", r.sys.endTime);
+    v("events", r.sys.eventsExecuted);
+    v("kernels", r.sys.kernelsCompleted);
+    v("preemptions", r.sys.preemptions);
+    v("ctx_bytes", r.sys.contextBytesSaved);
+    v("max_ptbq", r.sys.maxPtbqDepth);
+    v("wall_seconds", r.wallSeconds);
+    v("serving", r.servingRun);
+    if (r.servingRun) {
+        v("classes", r.serving.classes);
+        v("window_fairness", r.serving.windowFairness);
+        v("window_us", r.serving.windowUs);
+    }
 }
 
-std::vector<double>
-decodeHexArray(const JsonValue &v, const char *what)
-{
-    if (v.type != JsonValue::Type::Array)
-        sim::fatal("wire: field %s is not an array", what);
-    std::vector<double> out;
-    out.reserve(v.items.size());
-    for (const JsonValue &e : v.items)
-        out.push_back(parseHexDouble(e.asString(what), what));
-    return out;
-}
+template <class T>
+using IfInteger = std::enable_if_t<std::is_integral<T>::value>;
 
-std::vector<std::int64_t>
-decodeIntArray(const JsonValue &v, const char *what)
+/** Appends each visited field to one JSON object. */
+class Encoder
 {
-    if (v.type != JsonValue::Type::Array)
-        sim::fatal("wire: field %s is not an array", what);
-    std::vector<std::int64_t> out;
-    out.reserve(v.items.size());
-    for (const JsonValue &e : v.items)
-        out.push_back(e.asInt64(what));
-    return out;
-}
+  public:
+    Encoder() : out_("{") {}
+
+    template <class T>
+    void operator()(const char *key, const T &value)
+    {
+        // Keys are table constants: nothing to escape.
+        out_ += out_.back() == '{' ? "\"" : ",\"";
+        out_ += key;
+        out_ += "\":";
+        put(value);
+    }
+
+    std::string finish()
+    {
+        out_ += '}';
+        return std::move(out_);
+    }
+
+  private:
+    std::string out_;
+
+    void put(const std::string &s) { out_ += jsonQuote(s); }
+
+    void put(double d)
+    {
+        out_ += '"';
+        out_ += encodeHexDouble(d);
+        out_ += '"';
+    }
+
+    template <class Int, class = IfInteger<Int>>
+    void put(Int i) { out_ += std::to_string(i); }
+
+    void put(bool b) { out_ += b ? "true" : "false"; }
+
+    void put(const workload::RunRecord &rr)
+    {
+        out_ += '[';
+        put(rr.start);
+        out_ += ',';
+        put(rr.end);
+        out_ += ',';
+        put(rr.release);
+        out_ += ']';
+    }
+
+    void put(const serve::ClassMetrics &c)
+    {
+        out_ += '{';
+        forEachClassField(c, *this);
+        out_ += '}';
+    }
+
+    template <class T>
+    void put(const std::vector<T> &values)
+    {
+        out_ += '[';
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                out_ += ',';
+            put(values[i]);
+        }
+        out_ += ']';
+    }
+};
+
+/** Reads each visited field out of one parsed JSON object; raises
+ *  fatal() on a missing field or a value of the wrong kind. */
+class Decoder
+{
+  public:
+    explicit Decoder(const JsonValue &object) : object_(object) {}
+
+    template <class T>
+    void operator()(const char *key, T &value)
+    {
+        get(object_.get(key, key), key, value);
+    }
+
+  private:
+    const JsonValue &object_;
+
+    static void get(const JsonValue &j, const char *what, std::string &s)
+    {
+        s = j.asString(what);
+    }
+
+    static void get(const JsonValue &j, const char *what, double &d)
+    {
+        d = parseHexDouble(j.asString(what), what);
+    }
+
+    template <class Int, class = IfInteger<Int>>
+    static void get(const JsonValue &j, const char *what, Int &i)
+    {
+        std::int64_t v = j.asInt64(what);
+        if (std::is_unsigned<Int>::value && v < 0)
+            sim::fatal("wire: field %s is negative ('%s')", what,
+                       j.text.c_str());
+        i = static_cast<Int>(v);
+    }
+
+    static void get(const JsonValue &j, const char *what, bool &b)
+    {
+        b = j.asBool(what);
+    }
+
+    static void get(const JsonValue &j, const char *what,
+                    workload::RunRecord &rr)
+    {
+        if (j.type != JsonValue::Type::Array || j.items.size() != 3)
+            sim::fatal("wire: field %s entry is not a triple", what);
+        get(j.items[0], what, rr.start);
+        get(j.items[1], what, rr.end);
+        get(j.items[2], what, rr.release);
+    }
+
+    static void get(const JsonValue &j, const char *what,
+                    serve::ClassMetrics &c)
+    {
+        if (j.type != JsonValue::Type::Object)
+            sim::fatal("wire: field %s entry is not an object", what);
+        Decoder d(j);
+        forEachClassField(c, d);
+    }
+
+    template <class T>
+    static void get(const JsonValue &j, const char *what,
+                    std::vector<T> &values)
+    {
+        if (j.type != JsonValue::Type::Array)
+            sim::fatal("wire: field %s is not an array", what);
+        values.resize(j.items.size());
+        for (std::size_t i = 0; i < values.size(); ++i)
+            get(j.items[i], what, values[i]);
+    }
+};
 
 } // namespace
 
 std::string
 encodeResult(const RunResult &r)
 {
-    std::string out = "{";
-    out += "\"v\":" + std::to_string(wireVersion);
-    out += ",\"index\":" + std::to_string(r.index);
-    out += ",\"tag\":" + jsonQuote(r.tag);
-    out += ",\"policy\":" + jsonQuote(r.scheme.policy);
-    out += ",\"mechanism\":" + jsonQuote(r.scheme.mechanism);
-    out += ",\"transfer\":" + jsonQuote(r.scheme.transferPolicy);
-    out += ",\"ntt\":" + hexArray(r.metrics.ntt);
-    out += ",\"antt\":" + jsonQuote(encodeHexDouble(r.metrics.antt));
-    out += ",\"stp\":" + jsonQuote(encodeHexDouble(r.metrics.stp));
-    out += ",\"fairness\":" +
-        jsonQuote(encodeHexDouble(r.metrics.fairness));
-    out += ",\"isolated_us\":" + hexArray(r.isolatedUs);
-    out += ",\"turnaround_us\":" + hexArray(r.sys.meanTurnaroundUs);
-    out += ",\"latency_us\":" + hexArray(r.sys.meanLatencyUs);
-    out += ",\"dropped\":" + intArray(r.sys.droppedRequests);
-    // Per-process run records as [start, end, release] triples: the
-    // full SystemResult survives the hop, not just its aggregates.
-    out += ",\"runs\":[";
-    for (std::size_t p = 0; p < r.sys.runs.size(); ++p) {
-        out += (p ? ",[" : "[");
-        const auto &recs = r.sys.runs[p];
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-            out += (i ? ",[" : "[");
-            out += std::to_string(recs[i].start) + "," +
-                std::to_string(recs[i].end) + "," +
-                std::to_string(recs[i].release) + "]";
-        }
-        out += ']';
-    }
-    out += ']';
-    out += ",\"end_time\":" + std::to_string(r.sys.endTime);
-    out += ",\"events\":" + std::to_string(r.sys.eventsExecuted);
-    out += ",\"kernels\":" + std::to_string(r.sys.kernelsCompleted);
-    out += ",\"preemptions\":" + std::to_string(r.sys.preemptions);
-    out += ",\"ctx_bytes\":" +
-        jsonQuote(encodeHexDouble(r.sys.contextBytesSaved));
-    out += ",\"max_ptbq\":" +
-        jsonQuote(encodeHexDouble(r.sys.maxPtbqDepth));
-    out += ",\"wall_seconds\":" +
-        jsonQuote(encodeHexDouble(r.wallSeconds));
-    out += ",\"serving\":";
-    out += r.servingRun ? "true" : "false";
-    if (r.servingRun) {
-        out += ",\"classes\":[";
-        for (std::size_t i = 0; i < r.serving.classes.size(); ++i) {
-            const serve::ClassMetrics &c = r.serving.classes[i];
-            out += (i ? ",{" : "{");
-            out += "\"name\":" + jsonQuote(c.name);
-            out += ",\"requests\":" + std::to_string(c.requests);
-            out += ",\"completed\":" + std::to_string(c.completed);
-            out += ",\"dropped\":" + std::to_string(c.dropped);
-            out += ",\"misses\":" + std::to_string(c.deadlineMisses);
-            out += ",\"n\":" + std::to_string(c.latency.n);
-            out += ",\"mean\":" +
-                jsonQuote(encodeHexDouble(c.latency.mean));
-            out += ",\"p50\":" +
-                jsonQuote(encodeHexDouble(c.latency.p50));
-            out += ",\"p99\":" +
-                jsonQuote(encodeHexDouble(c.latency.p99));
-            out += ",\"p999\":" +
-                jsonQuote(encodeHexDouble(c.latency.p999));
-            out += ",\"max\":" +
-                jsonQuote(encodeHexDouble(c.latency.max));
-            out += ",\"miss_rate\":" +
-                jsonQuote(encodeHexDouble(c.missRate));
-            out += ",\"tput\":" +
-                jsonQuote(encodeHexDouble(c.throughputPerSec));
-            out += ",\"goodput\":" +
-                jsonQuote(encodeHexDouble(c.goodputPerSec));
-            out += '}';
-        }
-        out += ']';
-        out += ",\"window_fairness\":" +
-            jsonQuote(encodeHexDouble(r.serving.windowFairness));
-        out += ",\"window_us\":" +
-            jsonQuote(encodeHexDouble(r.serving.windowUs));
-    }
-    out += '}';
-    return out;
+    Encoder e;
+    e("v", wireVersion);
+    forEachField(r, e);
+    return e.finish();
 }
 
 RunResult
@@ -485,113 +571,13 @@ decodeResult(const JsonValue &v)
 {
     if (v.type != JsonValue::Type::Object)
         sim::fatal("wire: result is not an object");
-    if (v.get("v", "version").asInt64("version") != wireVersion)
+    Decoder d(v);
+    std::int64_t version = 0;
+    d("v", version);
+    if (version != wireVersion)
         sim::fatal("wire: result version mismatch");
-
     RunResult r;
-    r.index = static_cast<std::size_t>(
-        v.get("index", "index").asInt64("index"));
-    r.tag = v.get("tag", "tag").asString("tag");
-    r.scheme.policy = v.get("policy", "policy").asString("policy");
-    r.scheme.mechanism =
-        v.get("mechanism", "mechanism").asString("mechanism");
-    r.scheme.transferPolicy =
-        v.get("transfer", "transfer").asString("transfer");
-    r.metrics.ntt = decodeHexArray(v.get("ntt", "ntt"), "ntt");
-    r.metrics.antt =
-        parseHexDouble(v.get("antt", "antt").asString("antt"), "antt");
-    r.metrics.stp =
-        parseHexDouble(v.get("stp", "stp").asString("stp"), "stp");
-    r.metrics.fairness = parseHexDouble(
-        v.get("fairness", "fairness").asString("fairness"), "fairness");
-    r.isolatedUs =
-        decodeHexArray(v.get("isolated_us", "isolated_us"),
-                       "isolated_us");
-    r.sys.meanTurnaroundUs = decodeHexArray(
-        v.get("turnaround_us", "turnaround_us"), "turnaround_us");
-    r.sys.meanLatencyUs =
-        decodeHexArray(v.get("latency_us", "latency_us"), "latency_us");
-    r.sys.droppedRequests =
-        decodeIntArray(v.get("dropped", "dropped"), "dropped");
-
-    const JsonValue &runs = v.get("runs", "runs");
-    if (runs.type != JsonValue::Type::Array)
-        sim::fatal("wire: field runs is not an array");
-    r.sys.runs.reserve(runs.items.size());
-    for (const JsonValue &proc : runs.items) {
-        if (proc.type != JsonValue::Type::Array)
-            sim::fatal("wire: runs entry is not an array");
-        std::vector<workload::RunRecord> recs;
-        recs.reserve(proc.items.size());
-        for (const JsonValue &rec : proc.items) {
-            if (rec.type != JsonValue::Type::Array ||
-                rec.items.size() != 3)
-                sim::fatal("wire: run record is not a triple");
-            workload::RunRecord rr;
-            rr.start = rec.items[0].asInt64("run.start");
-            rr.end = rec.items[1].asInt64("run.end");
-            rr.release = rec.items[2].asInt64("run.release");
-            recs.push_back(rr);
-        }
-        r.sys.runs.push_back(std::move(recs));
-    }
-
-    r.sys.endTime = v.get("end_time", "end_time").asInt64("end_time");
-    r.sys.eventsExecuted = static_cast<std::uint64_t>(
-        v.get("events", "events").asInt64("events"));
-    r.sys.kernelsCompleted = static_cast<std::uint64_t>(
-        v.get("kernels", "kernels").asInt64("kernels"));
-    r.sys.preemptions = static_cast<std::uint64_t>(
-        v.get("preemptions", "preemptions").asInt64("preemptions"));
-    r.sys.contextBytesSaved = parseHexDouble(
-        v.get("ctx_bytes", "ctx_bytes").asString("ctx_bytes"),
-        "ctx_bytes");
-    r.sys.maxPtbqDepth = parseHexDouble(
-        v.get("max_ptbq", "max_ptbq").asString("max_ptbq"), "max_ptbq");
-    r.wallSeconds = parseHexDouble(
-        v.get("wall_seconds", "wall_seconds").asString("wall_seconds"),
-        "wall_seconds");
-    r.servingRun = v.get("serving", "serving").asBool("serving");
-    if (r.servingRun) {
-        const JsonValue &classes = v.get("classes", "classes");
-        if (classes.type != JsonValue::Type::Array)
-            sim::fatal("wire: field classes is not an array");
-        for (const JsonValue &e : classes.items) {
-            if (e.type != JsonValue::Type::Object)
-                sim::fatal("wire: class entry is not an object");
-            serve::ClassMetrics c;
-            c.name = e.get("name", "class.name").asString("class.name");
-            c.requests = e.get("requests", "class.requests")
-                             .asInt64("class.requests");
-            c.completed = e.get("completed", "class.completed")
-                              .asInt64("class.completed");
-            c.dropped = e.get("dropped", "class.dropped")
-                            .asInt64("class.dropped");
-            c.deadlineMisses =
-                e.get("misses", "class.misses").asInt64("class.misses");
-            c.latency.n = e.get("n", "class.n").asInt64("class.n");
-            auto hex = [&e](const char *key) {
-                return parseHexDouble(e.get(key, key).asString(key),
-                                      key);
-            };
-            c.latency.mean = hex("mean");
-            c.latency.p50 = hex("p50");
-            c.latency.p99 = hex("p99");
-            c.latency.p999 = hex("p999");
-            c.latency.max = hex("max");
-            c.missRate = hex("miss_rate");
-            c.throughputPerSec = hex("tput");
-            c.goodputPerSec = hex("goodput");
-            r.serving.classes.push_back(std::move(c));
-        }
-        r.serving.windowFairness = parseHexDouble(
-            v.get("window_fairness", "window_fairness")
-                .asString("window_fairness"),
-            "window_fairness");
-        r.serving.windowUs = parseHexDouble(
-            v.get("window_us", "window_us").asString("window_us"),
-            "window_us");
-    }
+    forEachField(r, d);
     return r;
 }
 

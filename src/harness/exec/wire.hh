@@ -6,11 +6,13 @@
  * JSON records over pipes, and the on-disk result cache stores the
  * same records, so one codec serves both (DESIGN.md §10).  Two parts:
  *
- *  - a minimal strict JSON reader (harness emits JSON everywhere but
- *    until now never had to parse it back).  Numeric tokens keep
- *    their raw spelling so 64-bit integers round-trip exactly;
+ *  - a minimal strict JSON reader, the only JSON parser in the
+ *    harness (it reads worker messages and cache entries).  Numeric
+ *    tokens keep their raw spelling so 64-bit integers round-trip
+ *    exactly;
  *  - encodeResult()/decodeResult(): a complete, *bit-exact*
- *    serialization of harness::RunResult.  Doubles travel as hexfloat
+ *    serialization of harness::RunResult, both derived from one
+ *    field list in wire.cc.  Doubles travel as hexfloat
  *    strings ("0x1.91eb8p+1", "nan", "-inf"), which round-trip every
  *    binary64 value by construction — the merge-side output must be
  *    byte-identical to an in-process run, so "close enough" decimal
@@ -59,8 +61,8 @@ struct JsonValue
      *  naming @p what (the field being decoded). @{ */
     const JsonValue &get(const std::string &key,
                          const char *what) const;
+    /** Also raises on a token outside the int64 range. */
     std::int64_t asInt64(const char *what) const;
-    double asDouble(const char *what) const;
     const std::string &asString(const char *what) const;
     bool asBool(const char *what) const;
     /** @} */

@@ -61,8 +61,9 @@ std::string jsonQuote(const std::string &s);
 /**
  * One flat JSON object with insertion-ordered keys.
  *
- * Deliberately minimal: the harness emits records, it does not parse
- * them.  Non-finite doubles render as null.
+ * Deliberately minimal: it only emits records (the results JSONL);
+ * the one JSON reader is the exec wire codec's (harness/exec/wire.hh).
+ * Non-finite doubles render as null.
  */
 class JsonObject
 {

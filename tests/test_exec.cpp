@@ -29,6 +29,7 @@
 #include "harness/interrupt.hh"
 #include "harness/suite.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
@@ -96,7 +97,7 @@ fullResult()
     RunResult r;
     r.index = 7;
     r.tag = "grid/size=2/plan=1/\"quoted\"\n\ttag";
-    r.scheme = {"dss", "context_switch", "priority"};
+    r.scheme = {"dss", "draining", "priority"};
     r.metrics.ntt = {1.0000000000000002, 2.5,
                      std::numeric_limits<double>::quiet_NaN()};
     r.metrics.antt = std::numeric_limits<double>::infinity();
@@ -129,6 +130,65 @@ fullResult()
     r.serving.windowFairness = 0.875;
     r.serving.windowUs = 1e6;
     return r;
+}
+
+/** Structural equality of two parsed JSON values (numbers compare by
+ *  their raw token). */
+bool
+sameJson(const exec::JsonValue &a, const exec::JsonValue &b)
+{
+    if (a.type != b.type || a.boolean != b.boolean || a.text != b.text ||
+        a.items.size() != b.items.size() ||
+        a.members.size() != b.members.size())
+        return false;
+    for (std::size_t i = 0; i < a.items.size(); ++i) {
+        if (!sameJson(a.items[i], b.items[i]))
+            return false;
+    }
+    for (std::size_t i = 0; i < a.members.size(); ++i) {
+        if (a.members[i].first != b.members[i].first ||
+            !sameJson(a.members[i].second, b.members[i].second))
+            return false;
+    }
+    return true;
+}
+
+/** Apply one random edit to @p s: replace, delete or insert a byte,
+ *  truncate, or splice in a copy of one of its own spans. */
+void
+mutate(std::string &s, sim::Rng &rng)
+{
+    // JSON structure, the digits and letters of the hexfloat and
+    // integer spellings, and a few bytes no record contains.
+    static const std::string alphabet =
+        "{}[]\",:-+.0123456789abcdefpxinrtu\\ \n\x01\xff";
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(n));
+    };
+    const char byte = alphabet[pick(alphabet.size())];
+    const std::size_t pos = pick(s.size() + 1);
+    switch (pick(5)) {
+      case 0:
+        if (pos < s.size())
+            s[pos] = byte;
+        break;
+      case 1:
+        if (pos < s.size())
+            s.erase(pos, 1);
+        break;
+      case 2:
+        s.insert(pos, 1, byte);
+        break;
+      case 3:
+        s.resize(pos);
+        break;
+      default: {
+        const std::size_t from = pick(s.size() + 1);
+        const std::size_t len = pick(s.size() - from + 1);
+        s.insert(pos, s.substr(from, len));
+        break;
+      }
+    }
 }
 
 } // namespace
@@ -196,6 +256,152 @@ TEST(ExecWire, RejectsMalformedAndVersionMismatch)
     EXPECT_TRUE(exec::tryDecodeResult(line, out));
     EXPECT_FALSE(
         exec::tryDecodeResult(line.substr(0, line.size() / 2), out));
+}
+
+TEST(ExecWire, EveryEncodedFieldIsRequiredAndSetByFullResult)
+{
+    // Walks the encoding itself, so a field added to the codec's
+    // table is covered without being listed here: it must be required
+    // by the decoder, and fullResult() must give it a non-default
+    // value (otherwise the round-trip tests above cannot see it).
+    const exec::JsonValue full =
+        exec::parseJson(exec::encodeResult(fullResult()));
+    RunResult plain;
+    plain.servingRun = true;
+    plain.serving.classes.resize(1);
+    const exec::JsonValue empty =
+        exec::parseJson(exec::encodeResult(plain));
+    ASSERT_NO_THROW(exec::decodeResult(full));
+
+    // "v" is the format version and "serving" must be true on both
+    // sides for the class fields to be encoded at all.
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < full.members.size(); ++i) {
+        const std::string &key = full.members[i].first;
+        exec::JsonValue dropped = full;
+        dropped.members.erase(dropped.members.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+        EXPECT_THROW(exec::decodeResult(dropped), sim::FatalError)
+            << "decodes without '" << key << "'";
+        if (key == "v" || key == "serving")
+            continue;
+        const exec::JsonValue *other = empty.find(key);
+        ASSERT_NE(other, nullptr) << key;
+        EXPECT_FALSE(sameJson(full.members[i].second, *other))
+            << "fullResult() leaves '" << key << "' at its default";
+        ++checked;
+    }
+    EXPECT_GE(checked, 20u);
+
+    std::size_t classesAt = 0;
+    while (full.members.at(classesAt).first != "classes")
+        ++classesAt;
+    const exec::JsonValue &cls = full.members[classesAt].second.items.at(0);
+    const exec::JsonValue &plainCls =
+        empty.get("classes", "test").items.at(0);
+    for (std::size_t i = 0; i < cls.members.size(); ++i) {
+        const std::string &key = cls.members[i].first;
+        exec::JsonValue dropped = full;
+        auto &members =
+            dropped.members[classesAt].second.items.at(0).members;
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
+        EXPECT_THROW(exec::decodeResult(dropped), sim::FatalError)
+            << "decodes without class field '" << key << "'";
+        const exec::JsonValue *other = plainCls.find(key);
+        ASSERT_NE(other, nullptr) << key;
+        EXPECT_FALSE(sameJson(cls.members[i].second, *other))
+            << "fullResult() leaves class field '" << key
+            << "' at its default";
+    }
+    EXPECT_GE(cls.members.size(), 10u);
+}
+
+TEST(ExecWire, IntegersOutsideInt64AreRejectedNotClamped)
+{
+    EXPECT_EQ(exec::parseJson("9223372036854775807").asInt64("test"),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(exec::parseJson("-9223372036854775808").asInt64("test"),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_THROW(exec::parseJson("9223372036854775808").asInt64("test"),
+                 sim::FatalError);
+    EXPECT_THROW(
+        exec::parseJson("-9223372036854775809").asInt64("test"),
+        sim::FatalError);
+    EXPECT_THROW(exec::parseJson("18446744073709551593").asInt64("test"),
+                 sim::FatalError);
+}
+
+TEST(ExecWire, NegativeUnsignedFieldsAreRejected)
+{
+    const std::string line = exec::encodeResult(fullResult());
+    const auto with = [&line](const std::string &from,
+                              const std::string &to) {
+        std::string out = line;
+        std::size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at, from.size(), to);
+    };
+    // The unsigned counters once decoded "-23" to 2^64 - 23, which
+    // re-encodes to a token the decoder then clamped.
+    EXPECT_THROW(exec::decodeResult(with("\"index\":7", "\"index\":-7")),
+                 sim::FatalError);
+    EXPECT_THROW(
+        exec::decodeResult(with("\"events\":123456789", "\"events\":-23")),
+        sim::FatalError);
+    EXPECT_THROW(
+        exec::decodeResult(with("\"kernels\":17", "\"kernels\":-17")),
+        sim::FatalError);
+    EXPECT_THROW(exec::decodeResult(
+                     with("\"preemptions\":3", "\"preemptions\":-3")),
+                 sim::FatalError);
+    // Signed fields keep their sign.
+    RunResult r = exec::decodeResult(
+        with("\"end_time\":9223372036854775807", "\"end_time\":-5"));
+    EXPECT_EQ(r.sys.endTime, -5);
+}
+
+TEST(ExecWire, MutatedRecordsDecodeToAFixedPointOrRaiseFatal)
+{
+    // Deterministic mutation fuzz of the decoder: every input either
+    // raises FatalError or decodes to a result that encode/decode
+    // reproduces byte for byte.
+    const std::string seed = exec::encodeResult(fullResult());
+    sim::Rng rng(20140614);
+    int decoded = 0;
+    int rejected = 0;
+    int failures = 0;
+    for (int iter = 0; iter < 100000 && failures < 5; ++iter) {
+        std::string input = seed;
+        const std::uint64_t edits = 1 + rng.uniformInt(3);
+        for (std::uint64_t e = 0; e < edits; ++e)
+            mutate(input, rng);
+        RunResult r;
+        try {
+            r = exec::decodeResult(input);
+        } catch (const sim::FatalError &) {
+            ++rejected;
+            continue;
+        } catch (const std::exception &ex) {
+            ++failures;
+            ADD_FAILURE() << "non-fatal exception '" << ex.what()
+                          << "' on input " << input;
+            continue;
+        }
+        ++decoded;
+        const std::string once = exec::encodeResult(r);
+        const std::string twice =
+            exec::encodeResult(exec::decodeResult(once));
+        if (twice != once) {
+            ++failures;
+            ADD_FAILURE() << "not a fixed point: input " << input
+                          << "\nencodes to " << once << "\nthen to "
+                          << twice;
+        }
+    }
+    EXPECT_EQ(failures, 0);
+    // Both outcomes must actually be exercised.
+    EXPECT_GT(decoded, 100);
+    EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------
