@@ -8,6 +8,7 @@
 #ifndef GPUMP_BENCH_BENCH_UTIL_HH
 #define GPUMP_BENCH_BENCH_UTIL_HH
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -76,13 +77,19 @@ struct BenchOptions
             o.workloads = 3;
             o.replays = 2;
         }
+        // Counts land in ints: reject what would not fit rather than
+        // truncate it.
+        auto int_flag = [&args](const char *name, int def) {
+            std::int64_t v = args.flagInt(name, def);
+            if (v < INT_MIN || v > INT_MAX)
+                sim::fatal("flag --%s expects an int, got %lld", name,
+                           static_cast<long long>(v));
+            return static_cast<int>(v);
+        };
         o.sizes = args.flagIntList("sizes", o.sizes);
-        o.perBench = static_cast<int>(
-            args.flagInt("per-bench", o.perBench));
-        o.workloads = static_cast<int>(
-            args.flagInt("workloads", o.workloads));
-        o.replays =
-            static_cast<int>(args.flagInt("replays", o.replays));
+        o.perBench = int_flag("per-bench", o.perBench);
+        o.workloads = int_flag("workloads", o.workloads);
+        o.replays = int_flag("replays", o.replays);
         o.seed = static_cast<std::uint64_t>(
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");

@@ -63,12 +63,7 @@ class SjfPolicy : public core::SchedulingPolicy
 
     void pump()
     {
-        while (!fw_->activeQueueFull()) {
-            auto waiting = fw_->waitingBuffers();
-            if (waiting.empty())
-                break;
-            fw_->admit(waiting.front());
-        }
+        fw_->admitInArrivalOrder();
         // Smallest job first; stable on the admission order so ties
         // stay deterministic.  One context at a time, like the
         // baseline GPU.
@@ -83,13 +78,10 @@ class SjfPolicy : public core::SchedulingPolicy
             if (engine_ctx != sim::invalidContext &&
                 k->ctx() != engine_ctx)
                 continue;
-            while (fw_->unallocatedTbs(k) > 0) {
-                gpu::Sm *sm = fw_->findIdleSm();
-                if (!sm)
-                    return;
-                fw_->assignSm(sm, k);
+            if (!fw_->fillIdleSms(k))
+                return;
+            if (k->smsHeld > 0)
                 engine_ctx = k->ctx();
-            }
         }
     }
 

@@ -68,9 +68,6 @@ class DssPolicy : public SchedulingPolicy
     void partitionLoop();
     void retargetOrphans();
 
-    /** SM capacity @p k still needs beyond held + promised SMs. */
-    int needExtra(const gpu::KernelExec *k) const;
-
     /** Token-richest kernel that still needs capacity (gainer). */
     gpu::KernelExec *findMax() const;
 

@@ -580,6 +580,44 @@ SchedulingFramework::retargetReservation(gpu::Sm *sm,
 }
 
 void
+SchedulingFramework::admitInArrivalOrder()
+{
+    while (!activeQueueFull()) {
+        sim::ContextId ctx = frontWaitingBuffer();
+        if (ctx == sim::invalidContext)
+            break;
+        admit(ctx);
+    }
+}
+
+bool
+SchedulingFramework::fillIdleSms(gpu::KernelExec *k)
+{
+    while (unallocatedTbs(k) > 0) {
+        gpu::Sm *sm = findIdleSm();
+        if (!sm)
+            return false;
+        assignSm(sm, k);
+    }
+    return true;
+}
+
+int
+SchedulingFramework::unreservedNeed(const gpu::KernelExec *k) const
+{
+    return unallocatedTbs(k) - k->smsReserved * k->occupancy();
+}
+
+bool
+SchedulingFramework::honourReservation(gpu::Sm *sm, gpu::KernelExec *next)
+{
+    if (next == nullptr || unallocatedTbs(next) <= 0)
+        return false;
+    assignSm(sm, next);
+    return true;
+}
+
+void
 SchedulingFramework::recordContextSave(std::int64_t bytes, int tbs)
 {
     ctxBytesSaved_ += static_cast<double>(bytes);

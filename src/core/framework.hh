@@ -13,7 +13,9 @@
  * The scheduling *policy* plugs in on top: the framework calls the
  * policy on the events of interest (command waiting, SM idle, kernel
  * finished, preemption complete) and the policy drives the framework
- * through admit / assignSm / reserveSm.
+ * through admit / assignSm / reserveSm, or through the toolkit built
+ * on them (admitInArrivalOrder / fillIdleSms / unreservedNeed /
+ * honourReservation) that holds the loops the policies share.
  */
 
 #ifndef GPUMP_CORE_FRAMEWORK_HH
@@ -141,9 +143,9 @@ class SchedulingFramework : public gpu::KernelSink
     void waitingBuffers(std::vector<sim::ContextId> &out) const;
     /** The earliest-arrived buffered context — waitingBuffers()
      *  .front() without materializing the vector — or
-     *  sim::invalidContext when nothing is buffered.  The admit loops
-     *  of arrival-ordered policies run on every command arrival and
-     *  kernel completion, so this probe must not allocate. */
+     *  sim::invalidContext when nothing is buffered.  Arrival-order
+     *  admission runs on every command arrival and kernel
+     *  completion, so this probe must not allocate. */
     sim::ContextId frontWaitingBuffer() const;
     bool hasBufferedCommand(sim::ContextId ctx) const;
     const gpu::CommandPtr &bufferedCommand(sim::ContextId ctx) const;
@@ -210,6 +212,37 @@ class SchedulingFramework : public gpu::KernelSink
 
     /** Change the kernel a reserved SM is reserved for. */
     void retargetReservation(gpu::Sm *sm, gpu::KernelExec *next);
+    /** @} */
+
+    /** @name Policy toolkit
+     * The loops the policies share, each written once on top of the
+     * scheduling operations.  They call those operations in exactly
+     * the order a hand-written loop would: admit() re-enters the
+     * policy through the dispatcher, so the order is observable.
+     * @{ */
+    /** Admit buffered commands earliest-arrived first until the
+     *  active queue is full or no command waits. */
+    void admitInArrivalOrder();
+
+    /**
+     * Hand idle SMs to @p k while it has unallocated TBs.
+     * @return false when the idle SMs ran out first (@p k still
+     *         wants more), true when @p k's demand is covered.
+     */
+    bool fillIdleSms(gpu::KernelExec *k);
+
+    /** SM capacity @p k still needs beyond what it holds and what
+     *  pending reservations already promise it: unallocatedTbs(k)
+     *  minus smsReserved x occupancy.  Preemptive policies reserve
+     *  SMs only while this is positive. */
+    int unreservedNeed(const gpu::KernelExec *k) const;
+
+    /**
+     * A preemption vacated @p sm for @p next: assign it to @p next
+     * if that kernel still exists and has unallocated TBs.
+     * @return false when the SM stays idle for the policy to place.
+     */
+    bool honourReservation(gpu::Sm *sm, gpu::KernelExec *next);
     /** @} */
 
     /** @name Driver internals (mechanism-facing)

@@ -10,9 +10,8 @@
  *     Idle -> Setup -> Running -> (Draining | Saving) -> ...
  *
  * Draining and Saving are the in-flight phases of the two preemption
- * mechanisms of Section 3.2.  The architectural SMST view (Idle /
- * Running / Reserved) is derived from this detailed state plus the
- * reserved flag.
+ * mechanisms of Section 3.2.  The architectural SMST state (Idle /
+ * Running / Reserved) is this detailed state plus the reserved flag.
  */
 
 #ifndef GPUMP_GPU_SM_HH
@@ -65,14 +64,6 @@ class Sm
         Saving,   ///< reserved, context being saved (mechanism 1)
     };
 
-    /** Architectural state as stored in the SMST (Section 3.3). */
-    enum class SmstState
-    {
-        Idle,
-        Running,
-        Reserved,
-    };
-
     explicit Sm(sim::SmId id);
 
     sim::SmId id() const { return id_; }
@@ -115,11 +106,16 @@ class Sm
     sim::ContextId loadedContext = sim::invalidContext;
     /** @} */
 
-    /** The SMST view of this SM. */
-    SmstState smstState() const;
-
     /** True when a kernel is set up on this SM (any non-idle state). */
     bool busy() const { return state != State::Idle; }
+
+    /** True when a policy may reserve this SM: it is running or
+     *  setting up a kernel and not already reserved. */
+    bool preemptible() const
+    {
+        return kernel != nullptr && !reserved &&
+            (state == State::Running || state == State::Setup);
+    }
 
     /** Number of additional TBs that fit, given the current kernel's
      *  occupancy; 0 when idle or reserved. */
@@ -135,7 +131,6 @@ class Sm
 
 /** Printable SM state names (for logs and tests). */
 const char *smStateName(Sm::State s);
-const char *smstStateName(Sm::SmstState s);
 
 } // namespace gpu
 } // namespace gpump

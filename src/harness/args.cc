@@ -1,5 +1,7 @@
 #include "harness/args.hh"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 
@@ -37,6 +39,28 @@ printRegistry(std::ostream &os, const char *title,
         }
     }
     os << "\n";
+}
+
+/**
+ * The one integer parse behind every integer flag: @p text as a
+ * single integer in [@p lo, @p hi] (any base strtoll accepts).
+ * Trailing junk, a value the 64-bit parse cannot hold (ERANGE) and
+ * one outside the bounds all fail, so a flag is never silently
+ * clamped or truncated.
+ */
+bool
+parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
+         std::int64_t &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    long long v = std::strtoll(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        v < lo || v > hi) {
+        return false;
+    }
+    out = static_cast<std::int64_t>(v);
+    return true;
 }
 
 } // namespace
@@ -95,12 +119,11 @@ Args::flagInt(const std::string &name, std::int64_t def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    char *end = nullptr;
-    long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    std::int64_t v = 0;
+    if (!parseInt(it->second, INT64_MIN, INT64_MAX, v))
         sim::fatal("flag --%s expects an integer, got '%s'",
                    name.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
+    return v;
 }
 
 std::int64_t
@@ -109,12 +132,12 @@ Args::flagPositiveInt(const std::string &name, std::int64_t def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    char *end = nullptr;
-    long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0' || v < 1)
-        sim::fatal("flag --%s expects a positive integer, got '%s'",
-                   name.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
+    std::int64_t v = 0;
+    if (!parseInt(it->second, 1, INT_MAX, v))
+        sim::fatal("flag --%s expects a positive integer no larger "
+                   "than %d, got '%s'",
+                   name.c_str(), INT_MAX, it->second.c_str());
+    return v;
 }
 
 std::vector<int>
@@ -131,9 +154,8 @@ Args::flagIntList(const std::string &name, std::vector<int> def) const
         std::string item = v.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        char *end = nullptr;
-        long long n = std::strtoll(item.c_str(), &end, 0);
-        if (item.empty() || end == item.c_str() || *end != '\0') {
+        std::int64_t n = 0;
+        if (!parseInt(item, INT_MIN, INT_MAX, n)) {
             sim::fatal("flag --%s expects a comma-separated integer "
                        "list, got '%s'",
                        name.c_str(), v.c_str());

@@ -45,10 +45,13 @@ class Args
     bool hasFlag(const std::string &name) const;
     std::string flag(const std::string &name,
                      const std::string &def) const;
+    /** Integer flags are range-checked, never clamped: a value
+     *  outside the result's range (int64 here, int for the two
+     *  below) is fatal, like malformed text. */
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
-    /** flagInt that additionally rejects zero and negative values —
-     *  the shared validator for parallelism degrees (--jobs and
-     *  --workers), so every bench fails with the same message. */
+    /** flagInt restricted to [1, INT_MAX] — the shared validator for
+     *  parallelism degrees (--jobs and --workers), so every bench
+     *  fails with the same message. */
     std::int64_t flagPositiveInt(const std::string &name,
                                  std::int64_t def) const;
     double flagDouble(const std::string &name, double def) const;

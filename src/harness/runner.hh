@@ -218,7 +218,6 @@ class Runner
     {
         exec_ = std::move(options);
     }
-    const exec::ExecOptions &execOptions() const { return exec_; }
 
     /**
      * Execute the whole batch and return results in request order.

@@ -2,19 +2,19 @@
  * @file
  * Lightweight statistics package.
  *
- * Components declare named statistics against a StatRegistry; the
- * harness dumps them as text or CSV at the end of a run.  Three stat
- * kinds cover the simulator's needs:
+ * Components declare named statistics against their Simulation's
+ * StatRegistry and expose typed accessors over them; readers look a
+ * stat up by its dotted name (StatRegistry::find) or walk all of them
+ * in registration order (StatRegistry::all).  Two stat kinds cover
+ * the simulator's needs:
  *  - Scalar:       a single accumulating value (counts, sums);
- *  - Distribution: streaming moments plus min/max (Welford);
- *  - Histogram:    fixed-width bins with under/overflow.
+ *  - Distribution: streaming moments plus min/max (Welford).
  */
 
 #ifndef GPUMP_SIM_STATS_HH
 #define GPUMP_SIM_STATS_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,12 +38,6 @@ class Stat
     const std::string &name() const { return name_; }
     const std::string &description() const { return desc_; }
 
-    /** Render this stat's value(s) into @p os, one line per value. */
-    virtual void dump(std::ostream &os) const = 0;
-
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     StatRegistry *registry_;
     std::string name_;
@@ -60,9 +54,6 @@ class Scalar : public Stat
     Scalar &operator++() { value_ += 1.0; return *this; }
     void set(double v) { value_ = v; }
     double value() const { return value_; }
-
-    void dump(std::ostream &os) const override;
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -85,9 +76,6 @@ class Distribution : public Stat
     /** Population standard deviation. */
     double stddev() const;
 
-    void dump(std::ostream &os) const override;
-    void reset() override;
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
@@ -95,37 +83,6 @@ class Distribution : public Stat
     double max_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-};
-
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram : public Stat
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the binned range.
-     * @param hi exclusive upper bound; must exceed @p lo.
-     * @param bins number of equal-width bins; must be positive.
-     */
-    Histogram(StatRegistry &registry, std::string name, std::string desc,
-              double lo, double hi, std::size_t bins);
-
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-
-    void dump(std::ostream &os) const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t count_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
 };
 
 /**
@@ -148,12 +105,6 @@ class StatRegistry
 
     /** All registered stats in registration order. */
     const std::vector<Stat *> &all() const { return stats_; }
-
-    /** Dump every stat as "name value # description" text lines. */
-    void dump(std::ostream &os) const;
-
-    /** Reset every stat. */
-    void resetAll();
 
   private:
     std::vector<Stat *> stats_;

@@ -2,13 +2,15 @@
  * Concurrency stress tests, written to run under ThreadSanitizer (the
  * ci tsan job builds the suite with -DGPUMP_SANITIZE=thread).
  *
- * The simulator itself is single-threaded by design; the only code
+ * The simulator itself is single-threaded by design: every
+ * Simulation owns its event queue and StatRegistry, and the only
+ * process-wide objects are the scheme registries, which are written
+ * at registration and only read while runs execute.  The only code
  * that runs concurrently is the harness layer (Runner's job pool and
- * the memoizing baseline cache) and the process-wide Logger.  These tests drive exactly those seams harder
- * than the functional suite does — maximum pool sizes, deliberate
- * first-access herds, level flips racing emission — so a data race
- * shows up as a TSan report here rather than as a once-a-month flaky
- * batch result.
+ * the memoizing baseline cache).  These tests drive exactly those
+ * seams harder than the functional suite does — maximum pool sizes,
+ * deliberate first-access herds — so a data race shows up as a TSan
+ * report here rather than as a once-a-month flaky batch result.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "harness/suite.hh"
-#include "sim/logging.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
@@ -118,47 +119,4 @@ TEST(ConcurrencyStress, BaselineCacheFirstAccessHerd)
     EXPECT_GT(values[0], 0.0);
     EXPECT_GT(values[1], 0.0);
     EXPECT_NE(values[0], values[1]);
-}
-
-TEST(ConcurrencyStress, LoggerLevelFlipsRaceEmission)
-{
-    // The Logger is the one object shared by every concurrent run.
-    // Hammer emit() from four threads while a fifth flips the level:
-    // the atomic threshold and the emission mutex must keep this free
-    // of data races (TSan enforces; the test itself just must not
-    // crash or emit — both levels used are below the message level).
-    sim::Logger log;
-    log.setLevel(sim::LogLevel::Silent);
-
-    std::atomic<bool> stop{false};
-    std::thread flipper([&] {
-        bool warn = false;
-        while (!stop.load(std::memory_order_relaxed)) {
-            log.setLevel(warn ? sim::LogLevel::Warn
-                              : sim::LogLevel::Silent);
-            warn = !warn;
-        }
-    });
-
-    std::vector<std::thread> emitters;
-    for (int t = 0; t < 4; ++t) {
-        emitters.emplace_back([&log] {
-            for (int i = 0; i < 2000; ++i) {
-                // Inform is never enabled at Silent or Warn, so the
-                // stress stays quiet; the level check itself is the
-                // contended read.
-                log.emit(sim::LogLevel::Inform, "stress");
-                if (log.enabled(sim::LogLevel::Trace))
-                    ADD_FAILURE() << "Trace can never be enabled here";
-            }
-        });
-    }
-    for (auto &t : emitters)
-        t.join();
-    stop.store(true, std::memory_order_relaxed);
-    flipper.join();
-
-    sim::LogLevel final_level = log.level();
-    EXPECT_TRUE(final_level == sim::LogLevel::Silent ||
-                final_level == sim::LogLevel::Warn);
 }

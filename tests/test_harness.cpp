@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <sstream>
 
 #include "harness/args.hh"
@@ -49,6 +51,30 @@ TEST(Args, FlagIntList)
     EXPECT_EQ(args.flagIntList("one", {}), (std::vector<int>{6}));
     EXPECT_EQ(args.flagIntList("missing", {1, 2}),
               (std::vector<int>{1, 2}));
+}
+
+TEST(Args, OutOfRangeIntegersAreFatalNotClamped)
+{
+    // strtoll saturates on overflow and a cast to int truncates; both
+    // used to turn a typo into a silently different run.
+    const char *argv[] = {"prog", "--seed=99999999999999999999",
+                          "--jobs=4294967297", "--sizes=2,4294967298",
+                          "--neg=-99999999999999999999",
+                          "--max=9223372036854775807",
+                          "--top=2147483647", "--low=-2147483648,7"};
+    Args args(8, const_cast<char **>(argv));
+    EXPECT_THROW(args.flagInt("seed", 0), sim::FatalError);
+    EXPECT_THROW(args.flagInt("neg", 0), sim::FatalError);
+    EXPECT_THROW(args.flagPositiveInt("jobs", 1), sim::FatalError);
+    EXPECT_THROW(args.flagIntList("sizes", {}), sim::FatalError);
+    EXPECT_THROW(args.flagPositiveInt("max", 1), sim::FatalError);
+    EXPECT_THROW(args.flagIntList("max", {}), sim::FatalError);
+
+    // The bounds themselves are accepted.
+    EXPECT_EQ(args.flagInt("max", 0), INT64_MAX);
+    EXPECT_EQ(args.flagPositiveInt("top", 1), INT_MAX);
+    EXPECT_EQ(args.flagIntList("low", {}),
+              (std::vector<int>{INT_MIN, 7}));
 }
 
 TEST(Report, TableAlignsAndCsvEscapesNothing)

@@ -1,13 +1,16 @@
 /**
  * Tests of the declarative Suite/Runner batch API: grid expansion,
  * request-order preservation, serial-vs-parallel bit-identity, the
- * thread-safe isolated-baseline cache and a pinned golden aggregate
- * (so future perf work cannot silently change results).
+ * thread-safe isolated-baseline cache, pinned golden aggregates and
+ * per-run pins of every registered scheme (so future perf or
+ * refactoring work cannot silently change results).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/preemption.hh"
 #include "harness/suite.hh"
 #include "sim/logging.hh"
+#include "workload/generator.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
@@ -384,4 +388,147 @@ TEST(Runner, GoldenFig6QuickAggregatePinned)
 
     constexpr double kGolden = 1.0498411090168349;
     EXPECT_NEAR(avg, kGolden, 1e-9) << "pinned fig6 aggregate moved";
+}
+
+TEST(Runner, EveryRegisteredSchemePinned)
+{
+    // Every registered scheme column (Suite::allSchemes(): each
+    // policy x mechanism, tmux and ppq_aging included, which no figure
+    // golden runs) on three small prioritized plans, pinned by the
+    // exact integer outcome of each run: simulated end time, events
+    // executed and preemptions.  A refactor of a policy's grant,
+    // admission or victim loop that changes any decision moves at
+    // least one of these.
+    struct Pin
+    {
+        const char *tag;
+        sim::SimTime endTime;
+        std::uint64_t events;
+        std::uint64_t preemptions;
+    };
+    static const Pin kPins[] = {
+        {"pin/size=2/plan=0/bore_burst/adaptive", 1837414, 41167, 341},
+        {"pin/size=2/plan=0/bore_burst/context_switch", 1851290, 41180, 341},
+        {"pin/size=2/plan=0/bore_burst/draining", 1473023, 21573, 250},
+        {"pin/size=2/plan=0/bore_burst/pred_adaptive", 1504568, 31063, 292},
+        {"pin/size=2/plan=0/bore_burst/proactive_mem", 1851290, 41180, 341},
+        {"pin/size=2/plan=0/dss/adaptive", 1551392, 29455, 172},
+        {"pin/size=2/plan=0/dss/context_switch", 1554324, 29466, 171},
+        {"pin/size=2/plan=0/dss/draining", 1548415, 29424, 156},
+        {"pin/size=2/plan=0/dss/pred_adaptive", 1608033, 29492, 171},
+        {"pin/size=2/plan=0/dss/proactive_mem", 1554324, 29466, 171},
+        {"pin/size=2/plan=0/fcfs", 1464501, 21600, 0},
+        {"pin/size=2/plan=0/npq", 1464501, 21600, 0},
+        {"pin/size=2/plan=0/ppq_aging/adaptive", 1831406, 41164, 311},
+        {"pin/size=2/plan=0/ppq_aging/context_switch", 1987365, 41276, 606},
+        {"pin/size=2/plan=0/ppq_aging/draining", 1490988, 29530, 213},
+        {"pin/size=2/plan=0/ppq_aging/pred_adaptive", 1987365, 41276, 606},
+        {"pin/size=2/plan=0/ppq_aging/proactive_mem", 1987365, 41276, 606},
+        {"pin/size=2/plan=0/ppq_excl/adaptive", 1885383, 41132, 684},
+        {"pin/size=2/plan=0/ppq_excl/context_switch", 1885383, 41132, 684},
+        {"pin/size=2/plan=0/ppq_excl/draining", 1874931, 41111, 682},
+        {"pin/size=2/plan=0/ppq_excl/pred_adaptive", 1885383, 41132, 684},
+        {"pin/size=2/plan=0/ppq_excl/proactive_mem", 1885383, 41132, 684},
+        {"pin/size=2/plan=0/ppq_shared/adaptive", 1831406, 41162, 311},
+        {"pin/size=2/plan=0/ppq_shared/context_switch", 1987365, 41274, 606},
+        {"pin/size=2/plan=0/ppq_shared/draining", 1490988, 29529, 213},
+        {"pin/size=2/plan=0/ppq_shared/pred_adaptive", 1987365, 41274, 606},
+        {"pin/size=2/plan=0/ppq_shared/proactive_mem", 1987365, 41274, 606},
+        {"pin/size=2/plan=0/tmux/adaptive", 1468997, 21671, 39},
+        {"pin/size=2/plan=0/tmux/context_switch", 1468997, 21671, 39},
+        {"pin/size=2/plan=0/tmux/draining", 1466685, 21617, 39},
+        {"pin/size=2/plan=0/tmux/pred_adaptive", 1468843, 21669, 39},
+        {"pin/size=2/plan=0/tmux/proactive_mem", 1468997, 21671, 39},
+        {"pin/size=2/plan=1/bore_burst/adaptive", 21534073, 31349, 1144},
+        {"pin/size=2/plan=1/bore_burst/context_switch", 21534073, 31349, 1144},
+        {"pin/size=2/plan=1/bore_burst/draining", 25142056, 35218, 571},
+        {"pin/size=2/plan=1/bore_burst/pred_adaptive", 21683815, 31169, 1081},
+        {"pin/size=2/plan=1/bore_burst/proactive_mem", 21534073, 31349, 1144},
+        {"pin/size=2/plan=1/dss/adaptive", 25127807, 37209, 296},
+        {"pin/size=2/plan=1/dss/context_switch", 25445974, 37833, 283},
+        {"pin/size=2/plan=1/dss/draining", 26264856, 38109, 260},
+        {"pin/size=2/plan=1/dss/pred_adaptive", 25140029, 37199, 284},
+        {"pin/size=2/plan=1/dss/proactive_mem", 25445974, 37834, 283},
+        {"pin/size=2/plan=1/fcfs", 29124151, 41481, 0},
+        {"pin/size=2/plan=1/npq", 29124151, 41481, 0},
+        {"pin/size=2/plan=1/ppq_aging/adaptive", 20953037, 30216, 1088},
+        {"pin/size=2/plan=1/ppq_aging/context_switch", 20953037, 30216, 1088},
+        {"pin/size=2/plan=1/ppq_aging/draining", 25142056, 35258, 571},
+        {"pin/size=2/plan=1/ppq_aging/pred_adaptive", 21525403, 31320, 1151},
+        {"pin/size=2/plan=1/ppq_aging/proactive_mem", 20953037, 30216, 1088},
+        {"pin/size=2/plan=1/ppq_excl/adaptive", 19777200, 28305, 1248},
+        {"pin/size=2/plan=1/ppq_excl/context_switch", 19777200, 28305, 1248},
+        {"pin/size=2/plan=1/ppq_excl/draining", 19777200, 28305, 1248},
+        {"pin/size=2/plan=1/ppq_excl/pred_adaptive", 19777200, 28305, 1248},
+        {"pin/size=2/plan=1/ppq_excl/proactive_mem", 19777200, 28305, 1248},
+        {"pin/size=2/plan=1/ppq_shared/adaptive", 20953037, 30177, 1088},
+        {"pin/size=2/plan=1/ppq_shared/context_switch", 20953037, 30177, 1088},
+        {"pin/size=2/plan=1/ppq_shared/draining", 25142056, 35218, 571},
+        {"pin/size=2/plan=1/ppq_shared/pred_adaptive", 21525403, 31281, 1151},
+        {"pin/size=2/plan=1/ppq_shared/proactive_mem", 20953037, 30177, 1088},
+        {"pin/size=2/plan=1/tmux/adaptive", 22854837, 33275, 819},
+        {"pin/size=2/plan=1/tmux/context_switch", 22544216, 32855, 877},
+        {"pin/size=2/plan=1/tmux/draining", 27901078, 39319, 708},
+        {"pin/size=2/plan=1/tmux/pred_adaptive", 25967575, 37960, 655},
+        {"pin/size=2/plan=1/tmux/proactive_mem", 22544216, 32858, 877},
+        {"pin/size=3/plan=0/bore_burst/adaptive", 1894227, 22393, 523},
+        {"pin/size=3/plan=0/bore_burst/context_switch", 1894227, 22393, 523},
+        {"pin/size=3/plan=0/bore_burst/draining", 1888298, 22242, 419},
+        {"pin/size=3/plan=0/bore_burst/pred_adaptive", 1894227, 22393, 523},
+        {"pin/size=3/plan=0/bore_burst/proactive_mem", 1894227, 22393, 523},
+        {"pin/size=3/plan=0/dss/adaptive", 1819647, 21995, 281},
+        {"pin/size=3/plan=0/dss/context_switch", 1784174, 22032, 286},
+        {"pin/size=3/plan=0/dss/draining", 1943656, 23200, 285},
+        {"pin/size=3/plan=0/dss/pred_adaptive", 1819647, 21995, 281},
+        {"pin/size=3/plan=0/dss/proactive_mem", 1784174, 22032, 286},
+        {"pin/size=3/plan=0/fcfs", 2266383, 22869, 0},
+        {"pin/size=3/plan=0/npq", 2266383, 22869, 0},
+        {"pin/size=3/plan=0/ppq_aging/adaptive", 2358649, 41984, 1158},
+        {"pin/size=3/plan=0/ppq_aging/context_switch", 2358649, 41984, 1158},
+        {"pin/size=3/plan=0/ppq_aging/draining", 1990425, 23382, 228},
+        {"pin/size=3/plan=0/ppq_aging/pred_adaptive", 2358649, 41984, 1158},
+        {"pin/size=3/plan=0/ppq_aging/proactive_mem", 2358649, 41984, 1158},
+        {"pin/size=3/plan=0/ppq_excl/adaptive", 2268022, 41915, 1300},
+        {"pin/size=3/plan=0/ppq_excl/context_switch", 2268748, 41916, 1300},
+        {"pin/size=3/plan=0/ppq_excl/draining", 2286609, 41862, 1277},
+        {"pin/size=3/plan=0/ppq_excl/pred_adaptive", 2268022, 41915, 1300},
+        {"pin/size=3/plan=0/ppq_excl/proactive_mem", 2268748, 41916, 1300},
+        {"pin/size=3/plan=0/ppq_shared/adaptive", 2358649, 41981, 1158},
+        {"pin/size=3/plan=0/ppq_shared/context_switch", 2358649, 41981, 1158},
+        {"pin/size=3/plan=0/ppq_shared/draining", 1990425, 23380, 228},
+        {"pin/size=3/plan=0/ppq_shared/pred_adaptive", 2358649, 41981, 1158},
+        {"pin/size=3/plan=0/ppq_shared/proactive_mem", 2358649, 41981, 1158},
+        {"pin/size=3/plan=0/tmux/adaptive", 2268240, 22924, 77},
+        {"pin/size=3/plan=0/tmux/context_switch", 2268240, 22924, 77},
+        {"pin/size=3/plan=0/tmux/draining", 2336701, 23072, 81},
+        {"pin/size=3/plan=0/tmux/pred_adaptive", 2260047, 22911, 77},
+        {"pin/size=3/plan=0/tmux/proactive_mem", 2268240, 22924, 77},
+    };
+
+    sim::Config cfg;
+    cfg.set("gpu.tb_time_cv", 0.25); // figureConfig default
+    auto two = workload::makePrioritizedPlans(2, 1, 20140614 + 2);
+    auto three = workload::makePrioritizedPlans(3, 1, 20140614 + 3);
+    Runner runner(cfg, /*jobs=*/4);
+
+    std::size_t pin = 0;
+    for (const auto &plans : {std::vector<workload::WorkloadPlan>{two[3],
+                                                                  two[7]},
+                              std::vector<workload::WorkloadPlan>{
+                                  three[3]}}) {
+        Suite suite("pin");
+        suite.fixedPlans(plans).minReplays(1).allSchemes();
+        Batch batch = suite.build();
+        auto results = runner.run(batch.requests);
+        for (std::size_t i = 0; i < results.size(); ++i, ++pin) {
+            ASSERT_LT(pin, std::size(kPins)) << "unpinned scheme column";
+            const Pin &p = kPins[pin];
+            const workload::SystemResult &sys = results[i].sys;
+            EXPECT_EQ(batch.requests[i].tag, p.tag);
+            EXPECT_EQ(sys.endTime, p.endTime) << p.tag;
+            EXPECT_EQ(sys.eventsExecuted, p.events) << p.tag;
+            EXPECT_EQ(sys.preemptions, p.preemptions) << p.tag;
+        }
+    }
+    EXPECT_EQ(pin, std::size(kPins)) << "a pinned column disappeared";
 }
