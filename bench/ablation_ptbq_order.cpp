@@ -25,8 +25,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt =
@@ -89,4 +89,10 @@ main(int argc, char **argv)
                  "throughput cost; fresh-first can exceed the bound "
                  "and\nwould force the handlers off chip.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -22,8 +22,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt =
@@ -82,4 +82,10 @@ main(int argc, char **argv)
                  "through an extra idle/repartition round before it "
                  "is\nuseful again.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -25,8 +25,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt =
@@ -85,4 +85,10 @@ main(int argc, char **argv)
                  "latency depends only on the context size, not on "
                  "the block durations.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -37,8 +37,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "fig5_ppq_ntt");
@@ -131,4 +131,10 @@ main(int argc, char **argv)
                      "to ~64x).\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

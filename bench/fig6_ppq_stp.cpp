@@ -24,8 +24,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "fig6_ppq_stp");
@@ -92,4 +92,10 @@ main(int argc, char **argv)
                  "more than the exclusive one (preempted backfills\n"
                  "waste work).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

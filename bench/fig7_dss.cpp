@@ -27,8 +27,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_dss");
@@ -134,4 +134,10 @@ main(int argc, char **argv)
                  "CS up to ~3.35x;\nSTP degradation CS 1.06-1.34x < "
                  "Drain 1.08-1.5x.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -30,8 +30,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_proactive");
@@ -148,4 +148,10 @@ main(int argc, char **argv)
                  "incoming\nkernel's H2D fetch with the victim's save "
                  "instead of serialising them.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

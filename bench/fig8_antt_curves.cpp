@@ -22,8 +22,8 @@
 using namespace gpump;
 using namespace gpump::bench;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "fig8_antt_curves");
@@ -102,4 +102,10 @@ main(int argc, char **argv)
                  "context-switch curve around the middle of\nthe "
                  "improved range.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

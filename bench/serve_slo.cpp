@@ -83,8 +83,8 @@ scenarioAt(int load_pct, double horizon_mult, std::uint64_t seed,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     BenchOptions opt = BenchOptions::fromArgs(args, "serve_slo");
@@ -185,4 +185,10 @@ main(int argc, char **argv)
                  "miss\nrate down into overload at a modest batch-"
                  "throughput cost.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -21,8 +21,8 @@
 
 using namespace gpump;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
@@ -65,4 +65,10 @@ main(int argc, char **argv)
         t, args.hasFlag("csv"),
         bench::BenchOptions::jsonlPath(args, "table1_kernel_stats"));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

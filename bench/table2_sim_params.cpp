@@ -21,8 +21,8 @@
 
 using namespace gpump;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     const sim::Config &cfg = args.config();
@@ -81,4 +81,10 @@ main(int argc, char **argv)
         t, args.hasFlag("csv"),
         bench::BenchOptions::jsonlPath(args, "table2_sim_params"));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -18,8 +18,8 @@
 
 using namespace gpump;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
@@ -61,4 +61,10 @@ main(int argc, char **argv)
     std::cout << "Grand total with context-switch mechanism: "
               << c.totalBytes() << " B\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

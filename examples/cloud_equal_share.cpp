@@ -26,8 +26,8 @@
 using namespace gpump;
 using harness::AsciiTable;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -126,4 +126,10 @@ main(int argc, char **argv)
                 "far better tenant isolation:\nshort interactive jobs "
                 "stop paying for the batch job's monopoly.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -29,8 +29,8 @@
 
 using namespace gpump;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -123,4 +123,10 @@ main(int argc, char **argv)
                 "preempted at\nthe next thread-block boundary and the "
                 "burst drains at service speed.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -112,8 +112,8 @@ const bool registered_sjf = [] {
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     if (!registered_sjf)
@@ -163,4 +163,10 @@ main(int argc, char **argv)
     std::printf("\ncustom policy 'sjf' registered and scheduled "
                 "without touching src/core.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

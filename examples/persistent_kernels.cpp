@@ -58,8 +58,8 @@ runScenario(const std::string &mechanism, sim::SimTime horizon,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -99,4 +99,10 @@ main(int argc, char **argv)
                 "forward progress against\npersistent or malicious "
                 "kernels (Section 3.2).\n");
     return with_drain < 0 ? 0 : 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

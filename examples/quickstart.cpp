@@ -27,8 +27,8 @@
 
 using namespace gpump;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -127,4 +127,10 @@ main(int argc, char **argv)
 
     std::printf("\nquickstart done.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

@@ -111,8 +111,8 @@ printGantt(const char *title, const std::map<std::string, Span> &spans,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -146,4 +146,10 @@ main(int argc, char **argv)
     std::printf("Preemption decouples K3's latency from the length of "
                 "the running kernel.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return harness::guardedMain(argc, argv, run);
 }

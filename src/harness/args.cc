@@ -182,5 +182,16 @@ Args::flagDouble(const std::string &name, double def) const
     return v;
 }
 
+int
+guardedMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::cerr << "error: " << e.what() << '\n';
+        return 2;
+    }
+}
+
 } // namespace harness
 } // namespace gpump

@@ -73,6 +73,15 @@ class Args
  */
 void printSchemes(std::ostream &os);
 
+/**
+ * Run a bench or example main: @p body's return value is the exit
+ * status, and a sim::FatalError (a rejected flag, config key or
+ * workload) prints "error: <what>" on stderr and exits 2 instead of
+ * aborting through std::terminate.  Every bench and example main is
+ * `return harness::guardedMain(argc, argv, run);`.
+ */
+int guardedMain(int argc, char **argv, int (*body)(int, char **));
+
 } // namespace harness
 } // namespace gpump
 

@@ -201,11 +201,25 @@ EventQueue::playMatch(std::size_t node)
 void
 EventQueue::setLeaf(LaneId lane, std::uint64_t key_hi, std::uint64_t key_lo)
 {
-    LaneNode &leaf = tree_[leafBase_ + lane];
-    leaf.keyHi = key_hi;
-    leaf.keyLo = key_lo;
-    for (std::size_t i = (leafBase_ + lane) >> 1; i >= 1; i >>= 1)
-        playMatch(i);
+    // Carry the path's winner up in registers: each level loads only
+    // the sibling (off the dependency chain), keeps the earlier key by
+    // a mask rather than a branch, and writes the parent.  Unlike
+    // playMatch, a tie keeps the path's own key; only disarmed
+    // all-ones keys can tie (armed keys carry unique reserved seqs),
+    // and fireNext never reads a disarmed root's lane.
+    std::size_t i = leafBase_ + lane;
+    LaneNode win{key_hi, key_lo, lane};
+    tree_[i] = win;
+    for (; i > 1; i >>= 1) {
+        const LaneNode &sib = tree_[i ^ 1];
+        const std::uint64_t take = 0 -
+            std::uint64_t(keyBefore(sib.keyHi, sib.keyLo, win.keyHi,
+                                    win.keyLo));
+        win.keyHi ^= (win.keyHi ^ sib.keyHi) & take;
+        win.keyLo ^= (win.keyLo ^ sib.keyLo) & take;
+        win.lane ^= (win.lane ^ sib.lane) & static_cast<LaneId>(take);
+        tree_[i >> 1] = win;
+    }
 }
 
 void

@@ -480,10 +480,11 @@ class EventQueue
      *  it lies at or before @p limit; false when nothing did. */
     bool fireNext(SimTime limit);
 
-    /** Store the earlier of @p node's two children in it. */
+    /** Store the earlier of @p node's two children in it (a tie goes
+     *  to the left child).  addLane's rebuild only. */
     void playMatch(std::size_t node);
-    /** Key @p lane's leaf and replay the matches on its path to the
-     *  root. */
+    /** Key @p lane's leaf and rewrite the winners on its path to the
+     *  root, comparing against the sibling at each level. */
     void setLeaf(LaneId lane, std::uint64_t key_hi, std::uint64_t key_lo);
 #if GPUMP_AUDIT_ENABLED
     void auditLaneTree() const;

@@ -633,11 +633,15 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
     }
 }
 
-/** The same with lanes, at tree sizes that are a power of two (1),
- *  padded (13 SMs of the paper's GPU) and large (132, H100-class). */
+/** The same with lanes, at tree sizes that are a power of two (1, and
+ *  2: a single match), padded (3: one disarmed pad leaf beside a lane;
+ *  13 SMs of the paper's GPU) and large (132, H100-class).  The small
+ *  shapes are where the leaf-to-root walk's tie rule (a tie keeps the
+ *  walking path's key) meets disarmed and pad leaves. */
 TEST(EventQueueProperty, LanesMatchReferenceModel)
 {
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{13},
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{13},
                               std::size_t{132}}) {
         std::size_t fired = 0, ties = 0;
         for (std::uint64_t round = 0; round < 10; ++round) {
