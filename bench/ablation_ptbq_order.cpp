@@ -28,7 +28,7 @@ using namespace gpump::bench;
 static int
 run(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt =
         BenchOptions::fromArgs(args, "ablation_ptbq_order");
     int nprocs = 4;
@@ -69,8 +69,8 @@ run(int argc, char **argv)
             max_depth = std::max(max_depth, r.sys.maxPtbqDepth);
         }
         double n = static_cast<double>(batch.numPlans(0));
-        bool preempted_first = batch.schemes[ci].overrides.getBool(
-            "engine.preempted_first", true);
+        bool preempted_first = batch.schemes[ci].overrides.get<bool>(
+            "engine.preempted_first");
         t.addRow({preempted_first ? "preempted-first (paper)"
                                   : "fresh-first (ablated)",
                   harness::fmt(antt_sum / n),

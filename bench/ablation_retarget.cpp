@@ -25,7 +25,7 @@ using namespace gpump::bench;
 static int
 run(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt =
         BenchOptions::fromArgs(args, "ablation_retarget");
     int nprocs = 6;
@@ -66,9 +66,7 @@ run(int argc, char **argv)
         double n = static_cast<double>(batch.numPlans(0));
         const auto &spec = batch.schemes[ci];
         t.addRow({spec.scheme.mechanism,
-                  spec.overrides.getBool("dss.retarget", true)
-                      ? "on"
-                      : "off",
+                  spec.overrides.get<bool>("dss.retarget") ? "on" : "off",
                   harness::fmt(antt / n), harness::fmt(stp / n),
                   harness::fmt(fair / n),
                   harness::fmt(preempts / n, 0)});

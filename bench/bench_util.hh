@@ -8,7 +8,6 @@
 #ifndef GPUMP_BENCH_BENCH_UTIL_HH
 #define GPUMP_BENCH_BENCH_UTIL_HH
 
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -61,12 +60,25 @@ struct BenchOptions
      *  request requeued. */
     double timeoutSec = 0.0;
 
+    /** The flags fromArgs() reads, plus @p extra: what a bench
+     *  passes to harness::Args. */
+    static std::vector<std::string> flags(std::vector<std::string> extra = {})
+    {
+        for (const char *f : {"quick", "sizes", "per-bench", "workloads",
+                              "replays", "seed", "csv", "jobs", "workers",
+                              "cache-dir", "timeout", "jsonl"}) {
+            extra.push_back(f);
+        }
+        return extra;
+    }
+
     /**
      * Parse from args: --quick shrinks everything for smoke runs;
      * --sizes/--per-bench/--workloads/--replays/--seed/--csv/--jobs/
      * --workers/--cache-dir/--timeout/--jsonl[=path] override.
-     * --jobs/--workers share one validator: anything but a positive
-     * integer is fatal.  @p bench_name names the default JSONL file.
+     * Every count (--per-bench/--workloads/--replays/--jobs/--workers)
+     * shares one validator: anything but a positive integer is fatal.
+     * @p bench_name names the default JSONL file.
      */
     static BenchOptions fromArgs(const harness::Args &args,
                                  const std::string &bench_name)
@@ -77,25 +89,20 @@ struct BenchOptions
             o.workloads = 3;
             o.replays = 2;
         }
-        // Counts land in ints: reject what would not fit rather than
-        // truncate it.
-        auto int_flag = [&args](const char *name, int def) {
-            std::int64_t v = args.flagInt(name, def);
-            if (v < INT_MIN || v > INT_MAX)
-                sim::fatal("flag --%s expects an int, got %lld", name,
-                           static_cast<long long>(v));
-            return static_cast<int>(v);
+        // Counts are positive ints: reject anything else rather than
+        // truncate it or run an empty sweep.
+        auto count = [&args](const char *name, int def) {
+            return static_cast<int>(args.flagPositiveInt(name, def));
         };
         o.sizes = args.flagIntList("sizes", o.sizes);
-        o.perBench = int_flag("per-bench", o.perBench);
-        o.workloads = int_flag("workloads", o.workloads);
-        o.replays = int_flag("replays", o.replays);
+        o.perBench = count("per-bench", o.perBench);
+        o.workloads = count("workloads", o.workloads);
+        o.replays = count("replays", o.replays);
         o.seed = static_cast<std::uint64_t>(
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");
-        o.jobs = static_cast<int>(args.flagPositiveInt("jobs", o.jobs));
-        o.workers = static_cast<int>(
-            args.flagPositiveInt("workers", o.workers));
+        o.jobs = count("jobs", o.jobs);
+        o.workers = count("workers", o.workers);
         o.cacheDir = args.flag("cache-dir", "");
         o.timeoutSec = args.flagDouble("timeout", o.timeoutSec);
         if (o.timeoutSec < 0.0)

@@ -86,7 +86,8 @@ scenarioAt(int load_pct, double horizon_mult, std::uint64_t seed,
 static int
 run(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv,
+                       BenchOptions::flags({"loads", "horizon-mult"}));
     BenchOptions opt = BenchOptions::fromArgs(args, "serve_slo");
 
     std::vector<int> loads{30, 60, 90, 120};

@@ -24,7 +24,7 @@ using namespace gpump;
 static int
 run(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
     memory::GpuMemory gmem(
         memory::GpuMemoryParams::fromConfig(args.config()));

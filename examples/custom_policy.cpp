@@ -97,14 +97,13 @@ const bool registered_sjf = [] {
             "smallest active kernel runs next whenever the engine "
             "frees up; no preemption";
     d.usesMechanism = false;
-    d.configPrefix = "sjf";
     d.tunables = {
         {"sjf.by_remaining_tbs", core::TunableType::Bool, "false",
-         "rank jobs by grid size instead of profiled kernel time"},
+         "rank jobs by grid size instead of profiled kernel time", {}},
     };
     d.factory = [](const sim::Config &cfg) {
         return std::make_unique<SjfPolicy>(
-            cfg.getBool("sjf.by_remaining_tbs", false));
+            cfg.get<bool>("sjf.by_remaining_tbs"));
     };
     core::policyRegistry().add(std::move(d));
     return true;

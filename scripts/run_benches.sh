@@ -33,14 +33,15 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
     [ -x "$bin" ] || continue
     ran=$((ran + 1))
     name=$(basename "$bin")
-    # The figure/table benches run their batches on the multi-process
+    # The figure benches run their batches on the multi-process
     # executor (forked workers + resumable result cache; output is
-    # byte-identical to --jobs for any worker count); micro_simcore is
-    # Google Benchmark and rejects foreign flags.
+    # byte-identical to --jobs for any worker count).  The table
+    # benches run no batch, and every bench rejects flags it does not
+    # read; micro_simcore is Google Benchmark.
     jobs_flag="--jobs=$JOBS --workers=$WORKERS --cache-dir=$CACHE_ROOT/$name"
     extra_flags=""
     case "$name" in
-        *micro*) jobs_flag="" ;;
+        *micro*|*table*) jobs_flag="" ;;
         # The serving sweep also lands its per-run records (per-class
         # p99/miss/goodput vs load) as JSONL for replotting.
         *serve*) extra_flags="--jsonl=$OUT_DIR/$name.jsonl" ;;

@@ -137,18 +137,16 @@ namespace {
             "resident blocks' estimated remaining time is below the "
             "modeled context-save cost, context-switches otherwise "
             "(the Figures 6-7 tradeoff, played per preemption)";
-    d.configPrefix = "adaptive";
     d.tunables = {
         {"adaptive.bias", TunableType::Double, "1",
          "drain when estimated drain time <= bias x modeled save "
          "cost; >1 favours draining, 0 context-switches unless the "
-         "SM is already at a block boundary (zero drain estimate)"},
+         "SM is already at a block boundary (zero drain estimate)",
+         sim::atLeast(0)},
     };
     d.factory = [](const sim::Config &cfg) {
-        double bias = cfg.getDouble("adaptive.bias", 1.0);
-        if (bias < 0)
-            sim::fatal("adaptive.bias must be >= 0");
-        return std::make_unique<AdaptiveMechanism>(bias);
+        return std::make_unique<AdaptiveMechanism>(
+            cfg.get<double>("adaptive.bias"));
     };
     mechanismRegistry().add(std::move(d));
     return true;
@@ -162,29 +160,25 @@ namespace {
             "kernel) EWMA of observed TB service times, cold-start "
             "prior from the launch profile, context switch while "
             "confidence is below pred.confidence_min";
-    d.configPrefix = "pred";
     d.tunables = {
         {"pred.ewma_alpha", TunableType::Double, "0.25",
          "EWMA smoothing factor in (0, 1]: weight of each new TB "
-         "observation"},
+         "observation",
+         sim::above(0, 1)},
         {"pred.confidence_min", TunableType::Double, "0.5",
          "minimum model confidence (1 - (1-alpha)^n) to trust a "
-         "drain estimate; below it the mechanism context-switches"},
+         "drain estimate; below it the mechanism context-switches",
+         sim::atLeast(0, 1)},
         {"pred.bias", TunableType::Double, "1",
          "drain when predicted drain time <= bias x modeled save "
-         "cost; >1 favours draining"},
+         "cost; >1 favours draining",
+         sim::atLeast(0)},
     };
     d.factory = [](const sim::Config &cfg) {
-        double alpha = cfg.getDouble("pred.ewma_alpha", 0.25);
-        if (alpha <= 0 || alpha > 1)
-            sim::fatal("pred.ewma_alpha must be in (0, 1]");
-        double cmin = cfg.getDouble("pred.confidence_min", 0.5);
-        if (cmin < 0 || cmin > 1)
-            sim::fatal("pred.confidence_min must be in [0, 1]");
-        double bias = cfg.getDouble("pred.bias", 1.0);
-        if (bias < 0)
-            sim::fatal("pred.bias must be >= 0");
-        return std::make_unique<AdaptiveMechanism>(bias, alpha, cmin);
+        return std::make_unique<AdaptiveMechanism>(
+            cfg.get<double>("pred.bias"),
+            cfg.get<double>("pred.ewma_alpha"),
+            cfg.get<double>("pred.confidence_min"));
     };
     mechanismRegistry().add(std::move(d));
     return true;

@@ -170,29 +170,24 @@ namespace {
     d.doc = "Preemptive priority queues with priority aging: an "
             "unserved kernel's effective priority rises with waiting "
             "time, bounding low-priority starvation";
-    d.configPrefix = "ppq_aging";
     d.tunables = {
         {"ppq_aging.interval_us", TunableType::Double, "500",
-         "waiting time per aging step, microseconds (> 0)"},
+         "waiting time per aging step, microseconds (> 0)",
+         sim::above(0)},
         {"ppq_aging.step", TunableType::Int, "1",
-         "effective-priority boost per elapsed interval (>= 0)"},
+         "effective-priority boost per elapsed interval (>= 0)",
+         sim::atLeast(0, sim::maxInt)},
         {"ppq_aging.max_boost", TunableType::Int, "1000",
-         "cap on the total aging boost (>= 0)"},
+         "cap on the total aging boost (>= 0)",
+         sim::atLeast(0, sim::maxInt)},
         {"ppq_aging.exclusive", TunableType::Bool, "false",
-         "run on top of exclusive-mode PPQ instead of shared mode"},
+         "run on top of exclusive-mode PPQ instead of shared mode", {}},
     };
     d.factory = [](const sim::Config &cfg) {
-        double interval_us = cfg.getDouble("ppq_aging.interval_us",
-                                           500.0);
-        if (interval_us <= 0)
-            sim::fatal("ppq_aging.interval_us must be positive");
-        int step = static_cast<int>(cfg.getInt("ppq_aging.step", 1));
-        int max_boost =
-            static_cast<int>(cfg.getInt("ppq_aging.max_boost", 1000));
-        if (step < 0 || max_boost < 0)
-            sim::fatal("ppq_aging.step and ppq_aging.max_boost must "
-                       "be >= 0");
-        bool exclusive = cfg.getBool("ppq_aging.exclusive", false);
+        double interval_us = cfg.get<double>("ppq_aging.interval_us");
+        int step = cfg.get<int>("ppq_aging.step");
+        int max_boost = cfg.get<int>("ppq_aging.max_boost");
+        bool exclusive = cfg.get<bool>("ppq_aging.exclusive");
         return std::make_unique<PpqAgingPolicy>(
             sim::microseconds(interval_us), step, max_boost, exclusive);
     };

@@ -196,21 +196,22 @@ namespace {
     d.doc = "Dynamic Spatial Sharing (Section 3.4, Algorithm 1): "
             "token-based SM partitioning with debt, rebalanced by "
             "preempting the token-poorest kernel";
-    d.configPrefix = "dss";
     d.tunables = {
         {"dss.tokens_per_kernel", TunableType::Int, "",
          "SM budget granted per kernel on admission; default "
-         "floor(NSMs/Nprocs), the paper's equal share"},
+         "floor(NSMs/Nprocs), the paper's equal share",
+         sim::atLeast(0, sim::maxInt)},
         {"dss.bonus_tokens", TunableType::Int, "",
          "remainder tokens r = NSMs mod Nprocs, granted one each to "
          "the first r admitted kernels; defaults to the remainder "
-         "when dss.tokens_per_kernel also defaults, else 0"},
+         "when dss.tokens_per_kernel also defaults, else 0",
+         sim::atLeast(0, sim::maxInt)},
         {"dss.retarget", TunableType::Bool, "true",
          "re-target in-flight reservations whose beneficiary no "
-         "longer needs the SM (Section 3.4 optimisation)"},
+         "longer needs the SM (Section 3.4 optimisation)", {}},
         {"dss.weight_by_priority", TunableType::Bool, "false",
          "scale each kernel's token grant by (1 + process priority): "
-         "OS-controlled weighted sharing"},
+         "OS-controlled weighted sharing", {}},
     };
     // Equal sharing (Section 4.4) needs the machine and workload
     // sizes, which only exist at system assembly.  The pair default
@@ -233,8 +234,8 @@ namespace {
         int tokens = static_cast<int>(
             cfg.getInt("dss.tokens_per_kernel", 1));
         int bonus = static_cast<int>(cfg.getInt("dss.bonus_tokens", 0));
-        bool retarget = cfg.getBool("dss.retarget", true);
-        bool weighted = cfg.getBool("dss.weight_by_priority", false);
+        bool retarget = cfg.get<bool>("dss.retarget");
+        bool weighted = cfg.get<bool>("dss.weight_by_priority");
         return std::make_unique<DssPolicy>(tokens, bonus, retarget,
                                            weighted);
     };

@@ -13,6 +13,11 @@
 namespace gpump {
 namespace core {
 
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"engine.preempted_first", sim::TunableType::Bool, "",
+     "issue preempted thread blocks before fresh ones", {}},
+});
+
 SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
                                          const gpu::GpuParams &params,
                                          memory::GpuMemory &gmem,
@@ -42,7 +47,7 @@ SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
                  "PTBQ occupancy after context saves")
 {
     preemptedFirst_ =
-        sim.config().getBool("engine.preempted_first", true);
+        sim.config().getBool("engine.preempted_first", preemptedFirst_);
     contendedSwitch_ = gmem.params().contendedSwitch;
     sms_.reserve(static_cast<std::size_t>(params_.numSms));
     for (int i = 0; i < params_.numSms; ++i) {

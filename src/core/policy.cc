@@ -29,7 +29,7 @@ std::unique_ptr<SchedulingPolicy>
 makePolicy(const std::string &name, const sim::Config &cfg)
 {
     linkBuiltinPolicies();
-    return policyRegistry().make(name, cfg);
+    return policyRegistry().at(name).factory(cfg);
 }
 
 } // namespace core

@@ -25,7 +25,7 @@ std::unique_ptr<PreemptionMechanism>
 makeMechanism(const std::string &name, const sim::Config &cfg)
 {
     linkBuiltinMechanisms();
-    return mechanismRegistry().make(name, cfg);
+    return mechanismRegistry().at(name).factory(cfg);
 }
 
 } // namespace core

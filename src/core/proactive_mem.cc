@@ -53,18 +53,15 @@ namespace {
             "reservation target's preempted-block state over the "
             "transfer path while the victim drains and saves, so "
             "re-issued blocks skip the inline restore";
-    d.configPrefix = "proactive_mem";
     d.tunables = {
         {"proactive_mem.lookahead", TunableType::Int, "16",
          "max preempted TBs whose restore is staged per preemption; "
-         "must be > 0"},
+         "must be > 0",
+         sim::atLeast(1, sim::maxInt)},
     };
     d.factory = [](const sim::Config &cfg) {
-        int lookahead =
-            static_cast<int>(cfg.getInt("proactive_mem.lookahead", 16));
-        if (lookahead <= 0)
-            sim::fatal("proactive_mem.lookahead must be > 0");
-        return std::make_unique<ProactiveMemMechanism>(lookahead);
+        return std::make_unique<ProactiveMemMechanism>(
+            cfg.get<int>("proactive_mem.lookahead"));
     };
     mechanismRegistry().add(std::move(d));
     return true;

@@ -12,11 +12,13 @@
  * outside src/ entirely (see examples/custom_policy.cpp); nothing in
  * core needs editing.
  *
- * Declared tunables are enforced: each registrant claims a config
- * namespace (the DSS policy claims every "dss.*" key), and scheme
- * construction validates the merged sim::Config against the declared
- * keys.  A typo like "dss.tokens_per_kerel" is a hard fatal() naming
- * the nearest declared tunable instead of a silently ignored no-op.
+ * Every declared tunable joins the process-wide set of declared
+ * config keys (sim/config.hh), and a key may be declared only once.
+ * workload::System validates its config against that set before any
+ * scheme is built, so a typo like "dss.tokens_per_kerel" is a hard
+ * fatal() naming the nearest declared key instead of a silently
+ * ignored no-op, and a value outside a tunable's declared bound never
+ * reaches the factory.
  *
  * Static-library caveat: a registrar object in an archive member that
  * no symbol references is dropped by the linker.  Built-in schemes
@@ -44,49 +46,8 @@
 namespace gpump {
 namespace core {
 
-/** Value type of a declared tunable. */
-enum class TunableType
-{
-    Int,
-    Double,
-    Bool,
-    String,
-};
-
-/** Printable type name ("int", "double", "bool", "string"). */
-const char *tunableTypeName(TunableType t);
-
-/**
- * One declared config knob of a registered scheme.
- *
- * Every tunable's key must live under the owning descriptor's
- * configPrefix ("dss.tokens_per_kernel" under prefix "dss"): the
- * prefix is what construction-time validation uses to decide which
- * keys the registrant must recognise.
- */
-struct Tunable
-{
-    /** Full config key, e.g. "dss.tokens_per_kernel". */
-    std::string key;
-    TunableType type;
-    /** Default rendered as config text; empty when the default is
-     *  contextual (computed at system assembly, e.g. DSS's
-     *  floor(NSMs/Nprocs) token budget). */
-    std::string def;
-    /** One-line description for --list-schemes. */
-    std::string doc;
-};
-
-/** Levenshtein edit distance (suggestion engine for typo'd keys). */
-std::size_t editDistance(const std::string &a, const std::string &b);
-
-/**
- * The candidate closest to @p needle, or empty when none is a
- * plausible typo (closer than half the needle's length) — an
- * arbitrary far-off suggestion would mislead more than it helps.
- */
-std::string nearestOf(const std::string &needle,
-                      const std::vector<std::string> &candidates);
+using sim::Tunable;
+using sim::TunableType;
 
 /**
  * A registry of named scheme constructors for one product kind
@@ -102,7 +63,11 @@ template <typename Base>
 class SchemeRegistry
 {
   public:
-    /** Factory signature: tunables arrive through the merged config. */
+    /** Factory signature.  A factory reads its tunables with
+     *  sim::Config::get(), which falls back to the declared default,
+     *  so the default a Tunable advertises (--list-schemes) is the
+     *  only one.  The config arrives unvalidated: workload::System
+     *  validates it once per assembly. */
     using Factory =
         std::function<std::unique_ptr<Base>(const sim::Config &)>;
 
@@ -114,11 +79,7 @@ class SchemeRegistry
         /** One-line description for errors and --list-schemes. */
         std::string doc;
         Factory factory;
-        /** Config namespace this scheme claims; empty claims nothing.
-         *  Every key "<configPrefix>.*" in a construction config must
-         *  be one of the declared tunables. */
-        std::string configPrefix;
-        /** Declared tunables, all under configPrefix. */
+        /** Declared tunables; add() declares them process-wide. */
         std::vector<Tunable> tunables;
         /** Accepted shorthands ("cs" for "context_switch"). */
         std::vector<std::string> aliases;
@@ -150,8 +111,8 @@ class SchemeRegistry
 
     /**
      * Register a scheme.  Fails fast (fatal) on an empty name or
-     * factory, a duplicate name/alias, or a tunable declared outside
-     * the claimed configPrefix.
+     * factory, a duplicate name/alias, or a tunable key that is
+     * already declared.
      */
     void add(Descriptor d)
     {
@@ -161,39 +122,10 @@ class SchemeRegistry
         if (!d.factory)
             sim::fatal("%s '%s' registered without a factory",
                        kind_.c_str(), d.name.c_str());
-        // validate() matches a key's first dot-segment against the
-        // claimed prefixes, so a dotted prefix could never match and
-        // two claimants would shadow each other's declarations.
-        if (d.configPrefix.find('.') != std::string::npos) {
-            sim::fatal("%s '%s' claims config prefix '%s', which must "
-                       "not contain '.'",
-                       kind_.c_str(), d.name.c_str(),
-                       d.configPrefix.c_str());
-        }
-        for (const Tunable &t : d.tunables) {
-            if (d.configPrefix.empty() ||
-                t.key.rfind(d.configPrefix + ".", 0) != 0) {
-                sim::fatal("%s '%s' declares tunable '%s' outside its "
-                           "config namespace '%s.*'",
-                           kind_.c_str(), d.name.c_str(), t.key.c_str(),
-                           d.configPrefix.c_str());
-            }
-        }
         std::lock_guard<std::mutex> lock(mutex_);
         if (byName_.count(d.name) || aliases_.count(d.name)) {
             sim::fatal("duplicate %s registration '%s'", kind_.c_str(),
                        d.name.c_str());
-        }
-        if (!d.configPrefix.empty()) {
-            for (const auto &kv : byName_) {
-                if (kv.second.configPrefix == d.configPrefix) {
-                    sim::fatal("%s '%s' claims config prefix '%s.*', "
-                               "already claimed by '%s'",
-                               kind_.c_str(), d.name.c_str(),
-                               d.configPrefix.c_str(),
-                               kv.first.c_str());
-                }
-            }
         }
         for (std::size_t i = 0; i < d.aliases.size(); ++i) {
             const std::string &a = d.aliases[i];
@@ -208,6 +140,7 @@ class SchemeRegistry
                            kind_.c_str(), a.c_str(), d.name.c_str());
             }
         }
+        sim::declareKeys(d.tunables);
         auto [it, inserted] = byName_.emplace(d.name, std::move(d));
         GPUMP_ASSERT(inserted, "registry emplace failed");
         for (const std::string &a : it->second.aliases)
@@ -256,102 +189,6 @@ class SchemeRegistry
         std::lock_guard<std::mutex> lock(mutex_);
         return byName_.size();
     }
-
-    /**
-     * Construct scheme @p name, validating @p cfg first: every key
-     * under a namespace claimed by *any* registrant of this registry
-     * must be a declared tunable of that registrant, and declared
-     * tunables present in @p cfg must convert to their declared type.
-     *
-     * The scheme's declared non-contextual defaults are merged into
-     * the config handed to the factory, so the default a Tunable
-     * advertises (--list-schemes) is authoritative — a getter
-     * fallback inside the factory can never silently drift from it.
-     */
-    std::unique_ptr<Base> make(const std::string &name,
-                               const sim::Config &cfg) const
-    {
-        const Descriptor &d = at(name);
-        validate(cfg);
-        sim::Config effective = cfg;
-        for (const Tunable &t : d.tunables) {
-            if (!t.def.empty() && !effective.has(t.key))
-                effective.set(t.key, t.def);
-        }
-        return d.factory(effective);
-    }
-
-    /**
-     * Validate @p cfg against every claimed namespace: a key whose
-     * "prefix." matches some registrant's configPrefix but is not one
-     * of its declared tunables raises fatal() naming the nearest
-     * declared tunable.  Keys under unclaimed namespaces (gpu.*,
-     * gmem.*, ...) are left alone — they belong to other subsystems.
-     */
-    void validate(const sim::Config &cfg) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const std::string &key : cfg.keys()) {
-            auto dot = key.find('.');
-            if (dot == std::string::npos)
-                continue;
-            const std::string prefix = key.substr(0, dot);
-            const Descriptor *owner = nullptr;
-            for (const auto &kv : byName_) {
-                if (kv.second.configPrefix == prefix) {
-                    owner = &kv.second;
-                    break;
-                }
-            }
-            if (owner == nullptr)
-                continue;
-            const Tunable *match = nullptr;
-            std::vector<std::string> declared;
-            for (const Tunable &t : owner->tunables) {
-                declared.push_back(t.key);
-                if (t.key == key)
-                    match = &t;
-            }
-            if (match == nullptr) {
-                std::string near = nearestOf(key, declared);
-                if (!near.empty()) {
-                    sim::fatal("unknown config key '%s' for %s '%s'; "
-                               "did you mean '%s'?",
-                               key.c_str(), kind_.c_str(),
-                               owner->name.c_str(), near.c_str());
-                }
-                // No plausible typo target: enumerate what exists.
-                std::string known;
-                for (const std::string &dk : declared)
-                    known += (known.empty() ? "" : ", ") + dk;
-                sim::fatal("unknown config key '%s': %s '%s' declares "
-                           "%s under '%s.*'",
-                           key.c_str(), kind_.c_str(),
-                           owner->name.c_str(),
-                           known.empty() ? "no tunables"
-                                         : known.c_str(),
-                           prefix.c_str());
-            }
-            // Force a typed conversion so malformed values fail here,
-            // with the key named, instead of deep inside a factory.
-            switch (match->type) {
-              case TunableType::Int:
-                cfg.getInt(key, 0);
-                break;
-              case TunableType::Double:
-                cfg.getDouble(key, 0.0);
-                break;
-              case TunableType::Bool:
-                cfg.getBool(key, false);
-                break;
-              case TunableType::String:
-                break;
-            }
-        }
-    }
-
-    /** The product kind this registry holds ("scheduling policy"). */
-    const std::string &kind() const { return kind_; }
 
   private:
     std::string joinNames() const

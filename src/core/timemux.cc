@@ -126,17 +126,14 @@ namespace {
     d.doc = "Round-robin whole-engine time slicing: active kernels "
             "take turns owning the engine for a quantum; idle SMs are "
             "back-filled in ring order";
-    d.configPrefix = "tmux";
     d.tunables = {
         {"tmux.quantum_us", TunableType::Double, "200",
-         "engine time slice per kernel, microseconds (> 0)"},
+         "engine time slice per kernel, microseconds (> 0)",
+         sim::above(0)},
     };
     d.factory = [](const sim::Config &cfg) {
-        double quantum_us = cfg.getDouble("tmux.quantum_us", 200.0);
-        if (quantum_us <= 0)
-            sim::fatal("tmux.quantum_us must be positive");
         return std::make_unique<TimeMuxPolicy>(
-            sim::microseconds(quantum_us));
+            sim::microseconds(cfg.get<double>("tmux.quantum_us")));
     };
     policyRegistry().add(std::move(d));
     return true;

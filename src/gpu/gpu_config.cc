@@ -7,45 +7,59 @@
 namespace gpump {
 namespace gpu {
 
+// The SM and TB-slot caps keep their product, the PTBQ capacity per
+// kernel (core/tables.hh), inside an int.
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"gpu.num_sms", sim::TunableType::Int, "", "streaming multiprocessors",
+     sim::atLeast(1, 4096)},
+    {"gpu.clock_ghz", sim::TunableType::Double, "", "SM clock, GHz",
+     sim::above(0)},
+    {"gpu.pipelines_per_sm", sim::TunableType::Int, "", "pipelines per SM",
+     sim::atLeast(1, sim::maxInt)},
+    {"gpu.regs_per_sm", sim::TunableType::Int, "", "registers per SM",
+     sim::atLeast(1, sim::maxInt)},
+    {"gpu.max_threads_per_sm", sim::TunableType::Int, "",
+     "resident threads per SM", sim::atLeast(1, sim::maxInt)},
+    {"gpu.max_tb_slots_per_sm", sim::TunableType::Int, "",
+     "resident thread blocks per SM", sim::atLeast(1, 1024)},
+    {"gpu.sm_setup_us", sim::TunableType::Double, "",
+     "SM setup before issuing thread blocks, us", sim::latencyUs},
+    {"gpu.context_load_us", sim::TunableType::Double, "",
+     "extra SM setup when the context changes, us", sim::latencyUs},
+    {"gpu.pipeline_drain_us", sim::TunableType::Double, "",
+     "pipeline drain before a context save, us", sim::latencyUs},
+    {"gpu.command_submit_us", sim::TunableType::Double, "",
+     "CPU-to-GPU command submission, us", sim::latencyUs},
+    {"gpu.tb_time_cv", sim::TunableType::Double, "",
+     "coefficient of variation of thread-block durations",
+     sim::atLeast(0, 100)},
+    {"gpu.num_hw_queues", sim::TunableType::Int, "",
+     "hardware command queues", sim::atLeast(1, sim::maxInt)},
+});
+
 GpuParams
 GpuParams::fromConfig(const sim::Config &cfg)
 {
     GpuParams p;
-    p.numSms = static_cast<int>(cfg.getInt("gpu.num_sms", p.numSms));
+    auto count = [&cfg](const char *key, int &field) {
+        field = static_cast<int>(cfg.getInt(key, field));
+    };
+    auto latency = [&cfg](const char *key, sim::SimTime &field) {
+        field = sim::microseconds(
+            cfg.getDouble(key, sim::toMicroseconds(field)));
+    };
+    count("gpu.num_sms", p.numSms);
     p.clockGhz = cfg.getDouble("gpu.clock_ghz", p.clockGhz);
-    p.pipelinesPerSm =
-        static_cast<int>(cfg.getInt("gpu.pipelines_per_sm",
-                                    p.pipelinesPerSm));
-    p.regsPerSm =
-        static_cast<int>(cfg.getInt("gpu.regs_per_sm", p.regsPerSm));
-    p.maxThreadsPerSm =
-        static_cast<int>(cfg.getInt("gpu.max_threads_per_sm",
-                                    p.maxThreadsPerSm));
-    p.maxTbSlotsPerSm =
-        static_cast<int>(cfg.getInt("gpu.max_tb_slots_per_sm",
-                                    p.maxTbSlotsPerSm));
-    p.smSetupLatency = sim::microseconds(
-        cfg.getDouble("gpu.sm_setup_us",
-                      sim::toMicroseconds(p.smSetupLatency)));
-    p.contextLoadLatency = sim::microseconds(
-        cfg.getDouble("gpu.context_load_us",
-                      sim::toMicroseconds(p.contextLoadLatency)));
-    p.pipelineDrainLatency = sim::microseconds(
-        cfg.getDouble("gpu.pipeline_drain_us",
-                      sim::toMicroseconds(p.pipelineDrainLatency)));
-    p.commandSubmitLatency = sim::microseconds(
-        cfg.getDouble("gpu.command_submit_us",
-                      sim::toMicroseconds(p.commandSubmitLatency)));
+    count("gpu.pipelines_per_sm", p.pipelinesPerSm);
+    count("gpu.regs_per_sm", p.regsPerSm);
+    count("gpu.max_threads_per_sm", p.maxThreadsPerSm);
+    count("gpu.max_tb_slots_per_sm", p.maxTbSlotsPerSm);
+    latency("gpu.sm_setup_us", p.smSetupLatency);
+    latency("gpu.context_load_us", p.contextLoadLatency);
+    latency("gpu.pipeline_drain_us", p.pipelineDrainLatency);
+    latency("gpu.command_submit_us", p.commandSubmitLatency);
     p.tbTimeCv = cfg.getDouble("gpu.tb_time_cv", p.tbTimeCv);
-    p.numHwQueues =
-        static_cast<int>(cfg.getInt("gpu.num_hw_queues", p.numHwQueues));
-
-    if (p.numSms <= 0 || p.regsPerSm <= 0 || p.maxThreadsPerSm <= 0 ||
-        p.maxTbSlotsPerSm <= 0 || p.numHwQueues <= 0) {
-        sim::fatal("invalid GPU parameters (counts must be positive)");
-    }
-    if (p.tbTimeCv < 0)
-        sim::fatal("gpu.tb_time_cv must be non-negative");
+    count("gpu.num_hw_queues", p.numHwQueues);
     return p;
 }
 

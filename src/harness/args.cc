@@ -1,6 +1,6 @@
 #include "harness/args.hh"
 
-#include <cerrno>
+#include <algorithm>
 #include <climits>
 #include <cstdlib>
 #include <iostream>
@@ -8,6 +8,7 @@
 #include "core/policy.hh"
 #include "core/preemption.hh"
 #include "sim/logging.hh"
+#include "workload/system.hh"
 
 namespace gpump {
 namespace harness {
@@ -33,7 +34,10 @@ printRegistry(std::ostream &os, const char *title,
         os << "\n      " << d.doc << "\n";
         for (const core::Tunable &t : d.tunables) {
             os << "      " << t.key << "  ("
-               << core::tunableTypeName(t.type) << ", default "
+               << (t.type == sim::TunableType::Int      ? "int"
+                   : t.type == sim::TunableType::Double ? "double"
+                                                        : "bool")
+               << ", default "
                << (t.def.empty() ? "contextual" : t.def) << ")\n"
                << "          " << t.doc << "\n";
         }
@@ -41,30 +45,7 @@ printRegistry(std::ostream &os, const char *title,
     os << "\n";
 }
 
-/**
- * The one integer parse behind every integer flag: @p text as a
- * single integer in [@p lo, @p hi] (any base strtoll accepts).
- * Trailing junk, a value the 64-bit parse cannot hold (ERANGE) and
- * one outside the bounds all fail, so a flag is never silently
- * clamped or truncated.
- */
-bool
-parseInt(const std::string &text, std::int64_t lo, std::int64_t hi,
-         std::int64_t &out)
-{
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        v < lo || v > hi) {
-        return false;
-    }
-    out = static_cast<std::int64_t>(v);
-    return true;
-}
-
-} // namespace
-
+/** The --list-schemes output. */
 void
 printSchemes(std::ostream &os)
 {
@@ -77,7 +58,9 @@ printSchemes(std::ostream &os)
           "transfer} and tune with bare key=value arguments.\n";
 }
 
-Args::Args(int argc, char **argv)
+} // namespace
+
+Args::Args(int argc, char **argv, const std::vector<std::string> &flags)
 {
     for (int i = 1; i < argc; ++i) {
         std::string tok = argv[i];
@@ -94,10 +77,26 @@ Args::Args(int argc, char **argv)
                        tok.c_str());
         }
     }
+    std::vector<std::string> known = flags;
+    known.push_back("list-schemes");
+    for (const auto &kv : flags_) {
+        if (std::find(known.begin(), known.end(), kv.first) != known.end())
+            continue;
+        std::string near = sim::nearestOf(kv.first, known);
+        if (!near.empty())
+            sim::fatal("unknown flag --%s; did you mean --%s?",
+                       kv.first.c_str(), near.c_str());
+        std::string list;
+        for (const std::string &f : known)
+            list += (list.empty() ? "--" : ", --") + f;
+        sim::fatal("unknown flag --%s; accepted: %s", kv.first.c_str(),
+                   list.c_str());
+    }
     if (hasFlag("list-schemes")) {
         printSchemes(std::cout);
         std::exit(0);
     }
+    workload::validateConfig(config_);
 }
 
 bool
@@ -120,7 +119,7 @@ Args::flagInt(const std::string &name, std::int64_t def) const
     if (it == flags_.end())
         return def;
     std::int64_t v = 0;
-    if (!parseInt(it->second, INT64_MIN, INT64_MAX, v))
+    if (!sim::parseInt(it->second, v))
         sim::fatal("flag --%s expects an integer, got '%s'",
                    name.c_str(), it->second.c_str());
     return v;
@@ -133,7 +132,7 @@ Args::flagPositiveInt(const std::string &name, std::int64_t def) const
     if (it == flags_.end())
         return def;
     std::int64_t v = 0;
-    if (!parseInt(it->second, 1, INT_MAX, v))
+    if (!sim::parseInt(it->second, v) || v < 1 || v > INT_MAX)
         sim::fatal("flag --%s expects a positive integer no larger "
                    "than %d, got '%s'",
                    name.c_str(), INT_MAX, it->second.c_str());
@@ -155,7 +154,7 @@ Args::flagIntList(const std::string &name, std::vector<int> def) const
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
         std::int64_t n = 0;
-        if (!parseInt(item, INT_MIN, INT_MAX, n)) {
+        if (!sim::parseInt(item, n) || n < INT_MIN || n > INT_MAX) {
             sim::fatal("flag --%s expects a comma-separated integer "
                        "list, got '%s'",
                        name.c_str(), v.c_str());
@@ -174,9 +173,8 @@ Args::flagDouble(const std::string &name, double def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
+    double v = 0;
+    if (!sim::parseDouble(it->second, v))
         sim::fatal("flag --%s expects a number, got '%s'",
                    name.c_str(), it->second.c_str());
     return v;

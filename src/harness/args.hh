@@ -3,10 +3,9 @@
  * Minimal command-line handling for benches and examples.
  *
  * Every experiment binary accepts:
- *  - "--name=value" flags (consumed by the binary itself, e.g.
- *    --workloads=20);
+ *  - "--name=value" flags the binary declares (e.g. --workloads=20);
  *  - bare "key=value" tokens, forwarded into the simulation Config so
- *    any model parameter can be overridden without recompiling;
+ *    any declared key can be overridden without recompiling;
  *  - "--list-schemes", handled right here in the Args constructor:
  *    prints every registered scheduling policy and preemption
  *    mechanism with doc strings and declared tunables, then exits —
@@ -18,7 +17,6 @@
 #define GPUMP_HARNESS_ARGS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,10 +30,12 @@ namespace harness {
 class Args
 {
   public:
-    /** Parse argv; raises fatal() on malformed tokens.  A
-     *  --list-schemes flag is handled immediately: the scheme
-     *  registries are printed to stdout and the process exits 0. */
-    Args(int argc, char **argv);
+    /** Parse argv, accepting the flags named in @p flags (without
+     *  "--"); raises fatal() on malformed tokens, other flags and keys
+     *  that fail workload::validateConfig().  A --list-schemes flag
+     *  prints the scheme registries and exits 0 before any key is
+     *  validated. */
+    Args(int argc, char **argv, const std::vector<std::string> &flags = {});
 
     /** Config overrides collected from bare key=value tokens. */
     const sim::Config &config() const { return config_; }
@@ -50,8 +50,8 @@ class Args
      *  below) is fatal, like malformed text. */
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
     /** flagInt restricted to [1, INT_MAX] — the shared validator for
-     *  parallelism degrees (--jobs and --workers), so every bench
-     *  fails with the same message. */
+     *  counts (--jobs, --workers, --workloads, --replays, ...), so every
+     *  bench fails with the same message. */
     std::int64_t flagPositiveInt(const std::string &name,
                                  std::int64_t def) const;
     double flagDouble(const std::string &name, double def) const;
@@ -64,14 +64,6 @@ class Args
     sim::Config config_;
     std::map<std::string, std::string> flags_;
 };
-
-/**
- * Print every registered scheduling policy and preemption mechanism —
- * name, aliases, one-line doc, and declared tunables with types,
- * defaults and docs — to @p os.  The --list-schemes implementation,
- * also usable directly by examples.
- */
-void printSchemes(std::ostream &os);
 
 /**
  * Run a bench or example main: @p body's return value is the exit

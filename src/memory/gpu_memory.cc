@@ -5,6 +5,15 @@
 namespace gpump {
 namespace memory {
 
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"gmem.bandwidth", sim::TunableType::Double, "",
+     "global memory bandwidth, bytes/s", sim::above(0)},
+    {"gmem.capacity", sim::TunableType::Int, "", "device memory, bytes",
+     sim::atLeast(1, sim::maxBytes)},
+    {"gmem.contended_switch", sim::TunableType::Bool, "",
+     "context save/restore as transfer commands", {}},
+});
+
 GpuMemoryParams
 GpuMemoryParams::fromConfig(const sim::Config &cfg)
 {
@@ -13,8 +22,6 @@ GpuMemoryParams::fromConfig(const sim::Config &cfg)
     p.capacity = cfg.getInt("gmem.capacity", p.capacity);
     p.contendedSwitch =
         cfg.getBool("gmem.contended_switch", p.contendedSwitch);
-    if (p.bandwidth <= 0 || p.capacity <= 0)
-        sim::fatal("invalid GPU memory parameters");
     return p;
 }
 

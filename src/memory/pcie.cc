@@ -5,6 +5,19 @@
 namespace gpump {
 namespace memory {
 
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"pcie.clock_hz", sim::TunableType::Double, "", "link clock, Hz",
+     sim::above(0)},
+    {"pcie.lanes", sim::TunableType::Int, "", "link lanes",
+     sim::atLeast(1, sim::maxInt)},
+    {"pcie.burst_bytes", sim::TunableType::Int, "",
+     "burst (maximum payload) size, bytes", sim::atLeast(1, sim::maxBytes)},
+    {"pcie.bytes_per_lane_per_clock", sim::TunableType::Double, "",
+     "payload bytes per lane per clock", sim::above(0)},
+    {"pcie.setup_latency_us", sim::TunableType::Double, "",
+     "DMA setup per transfer, us", sim::latencyUs},
+});
+
 PcieParams
 PcieParams::fromConfig(const sim::Config &cfg)
 {
@@ -17,8 +30,6 @@ PcieParams::fromConfig(const sim::Config &cfg)
     p.setupLatency = sim::microseconds(
         cfg.getDouble("pcie.setup_latency_us",
                       sim::toMicroseconds(p.setupLatency)));
-    if (p.clockHz <= 0 || p.lanes <= 0 || p.burstBytes <= 0)
-        sim::fatal("invalid PCIe parameters (clock/lanes/burst must be > 0)");
     return p;
 }
 

@@ -50,33 +50,26 @@ namespace {
             "demotion: a context's observed kernel service times "
             "lower its effective priority by the log2 bucket of its "
             "smoothed burst length, decaying while it idles";
-    d.configPrefix = "bore";
     d.tunables = {
         {"bore.smoothness", core::TunableType::Int, "2",
          "EWMA shift of the burst average: each kernel moves it by "
-         "1/2^smoothness of the error (>= 0)"},
+         "1/2^smoothness of the error (>= 0)",
+         sim::atLeast(0, sim::maxInt)},
         {"bore.max_offset", core::TunableType::Int, "8",
-         "cap on the burst-score priority demotion (>= 0)"},
+         "cap on the burst-score priority demotion (>= 0)",
+         sim::atLeast(0, sim::maxInt)},
         {"bore.decay_us", core::TunableType::Double, "2000",
          "idle time per bucket of burst-score decay, microseconds "
-         "(> 0)"},
+         "(> 0)",
+         sim::above(0)},
         {"bore.exclusive", core::TunableType::Bool, "false",
-         "run on top of exclusive-mode PPQ instead of shared mode"},
+         "run on top of exclusive-mode PPQ instead of shared mode", {}},
     };
     d.factory = [](const sim::Config &cfg) {
-        int smoothness =
-            static_cast<int>(cfg.getInt("bore.smoothness", 2));
-        int max_offset =
-            static_cast<int>(cfg.getInt("bore.max_offset", 8));
-        if (smoothness < 0 || max_offset < 0)
-            sim::fatal("bore.smoothness and bore.max_offset must be "
-                       ">= 0");
-        double decay_us = cfg.getDouble("bore.decay_us", 2000.0);
-        if (decay_us <= 0)
-            sim::fatal("bore.decay_us must be positive");
-        bool exclusive = cfg.getBool("bore.exclusive", false);
-        return std::make_unique<BoreBurstPolicy>(smoothness, max_offset,
-                                                 decay_us, exclusive);
+        return std::make_unique<BoreBurstPolicy>(
+            cfg.get<int>("bore.smoothness"), cfg.get<int>("bore.max_offset"),
+            cfg.get<double>("bore.decay_us"),
+            cfg.get<bool>("bore.exclusive"));
     };
     core::policyRegistry().add(std::move(d));
     return true;

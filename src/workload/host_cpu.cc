@@ -6,6 +6,17 @@
 namespace gpump {
 namespace workload {
 
+// The caps keep hwThreads(), their product, inside an int.
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"cpu.cores", sim::TunableType::Int, "", "cores", sim::atLeast(1, 4096)},
+    {"cpu.threads_per_core", sim::TunableType::Int, "",
+     "hardware threads per core", sim::atLeast(1, 4096)},
+    {"cpu.clock_ghz", sim::TunableType::Double, "", "clock, GHz",
+     sim::above(0)},
+    {"cpu.model_contention", sim::TunableType::Bool, "",
+     "stretch CPU phases when runnable threads exceed hardware threads", {}},
+});
+
 CpuParams
 CpuParams::fromConfig(const sim::Config &cfg)
 {
@@ -16,8 +27,6 @@ CpuParams::fromConfig(const sim::Config &cfg)
     p.clockGhz = cfg.getDouble("cpu.clock_ghz", p.clockGhz);
     p.modelContention =
         cfg.getBool("cpu.model_contention", p.modelContention);
-    if (p.cores <= 0 || p.threadsPerCore <= 0)
-        sim::fatal("invalid CPU parameters");
     return p;
 }
 

@@ -6,9 +6,27 @@
 namespace gpump {
 namespace workload {
 
+[[maybe_unused]] const bool declared = sim::declareKeys({
+    {"cpu.kernel_launch_overhead_us", sim::TunableType::Double, "",
+     "host cost of one kernel launch, us", sim::latencyUs},
+    {"process.scratch_bytes", sim::TunableType::Int, "",
+     "device scratch memory per process, bytes",
+     sim::atLeast(0, sim::maxBytes)},
+});
+
+void
+validateConfig(const sim::Config &cfg)
+{
+    core::linkBuiltinPolicies();
+    core::linkBuiltinMechanisms();
+    cfg.validate();
+}
+
 System::System(const SystemSpec &spec, const sim::Config &overrides)
     : spec_(spec)
 {
+    validateConfig(overrides);
+
     // Resolve the per-process application specs up front.
     std::vector<const trace::BenchmarkSpec *> apps;
     if (!spec_.customSpecs.empty()) {
@@ -74,19 +92,21 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         *sim_, gpuParams_, *gmem_, *dispatcher_);
     framework_->setTransferEngine(transferEngine_.get());
 
-    // Mechanisms get the same assembly-defaults hook as policies (the
-    // block below): a chance to fill contextual tunable defaults from
-    // the machine and workload sizes before the factory validates the
-    // config.  No built-in mechanism declares one today.
-    const core::MechanismRegistry::Descriptor &mech_desc =
-        core::mechanismRegistry().at(spec_.mechanism);
-    sim::Config mech_cfg = cfg;
-    if (mech_desc.assemblyDefaults) {
-        mech_desc.assemblyDefaults(mech_cfg, gpuParams_.numSms,
-                                   static_cast<int>(apps.size()));
-    }
-    framework_->setMechanism(core::makeMechanism(spec_.mechanism,
-                                                 mech_cfg));
+    // Let the selected schemes fill contextual defaults now that the
+    // machine and workload sizes are known (e.g. DSS's equal-share
+    // token budget, Section 4.4: tc = floor(NSMs / Nprocs) plus the
+    // remainder as bonus tokens).  No built-in mechanism has one.
+    auto assembled = [&](const auto &descriptor) {
+        sim::Config scheme_cfg = cfg;
+        if (descriptor.assemblyDefaults) {
+            descriptor.assemblyDefaults(scheme_cfg, gpuParams_.numSms,
+                                        static_cast<int>(apps.size()));
+        }
+        return scheme_cfg;
+    };
+    framework_->setMechanism(core::makeMechanism(
+        spec_.mechanism,
+        assembled(core::mechanismRegistry().at(spec_.mechanism))));
 
     // Device-memory residency: swap transfers ride the same transfer
     // engine as workload copies; the engine-side questions (pinning,
@@ -109,18 +129,8 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
     });
     framework_->setResidency(residency_.get());
 
-    // Let the selected policy fill contextual defaults now that the
-    // machine and workload sizes are known (e.g. DSS's equal-share
-    // token budget, Section 4.4: tc = floor(NSMs / Nprocs) plus the
-    // remainder as bonus tokens).
-    const core::PolicyRegistry::Descriptor &policy_desc =
-        core::policyRegistry().at(spec_.policy);
-    sim::Config policy_cfg = cfg;
-    if (policy_desc.assemblyDefaults) {
-        policy_desc.assemblyDefaults(policy_cfg, gpuParams_.numSms,
-                                     static_cast<int>(apps.size()));
-    }
-    framework_->setPolicy(core::makePolicy(spec_.policy, policy_cfg));
+    framework_->setPolicy(core::makePolicy(
+        spec_.policy, assembled(core::policyRegistry().at(spec_.policy))));
 
     hostCpu_ = std::make_unique<HostCpu>(*sim_,
                                          CpuParams::fromConfig(cfg));

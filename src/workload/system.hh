@@ -38,6 +38,11 @@
 namespace gpump {
 namespace workload {
 
+/** sim::Config::validate() over every key the library declares;
+ *  System assembly and harness::Args call it.  Being defined next to
+ *  System, it links every model reader and so every declaration. */
+void validateConfig(const sim::Config &cfg);
+
 /** Everything needed to instantiate one simulation run. */
 struct SystemSpec
 {

@@ -6,9 +6,9 @@
  * example names).  Each example must run to completion and exit 0;
  * this keeps the examples from silently rotting as the simulator
  * evolves.  When benches are built, GPUMP_BENCH_BINDIR names their
- * directory, and one bench joins one example in the rejected-argument
- * check: exit 2 with an "error:" line, never an uncaught-exception
- * abort.
+ * directory, and benches join the examples in the rejected-argument
+ * checks (undeclared flags and config keys, out-of-bound values):
+ * exit 2 with an "error:" line, never an uncaught-exception abort.
  */
 
 #include <gtest/gtest.h>
@@ -94,16 +94,22 @@ expectRejected(const std::string &binary, const std::string &args)
 
 TEST(RejectedArgument, ExampleExitsTwo)
 {
-    expectRejected(std::string(GPUMP_EXAMPLES_BINDIR) +
-                       "/example_quickstart",
-                   "notakey");
+    const std::string quickstart =
+        std::string(GPUMP_EXAMPLES_BINDIR) + "/example_quickstart";
+    expectRejected(quickstart, "notakey");
+    expectRejected(quickstart, "gpu.num_smz=4");
+    expectRejected(quickstart, "gpu.context_load_us=-100");
 }
 
 #ifdef GPUMP_BENCH_BINDIR
 TEST(RejectedArgument, BenchExitsTwo)
 {
-    expectRejected(std::string(GPUMP_BENCH_BINDIR) + "/bench_fig7_dss",
-                   "--quick --jobs=0");
+    const std::string bindir = GPUMP_BENCH_BINDIR;
+    expectRejected(bindir + "/bench_fig7_dss", "--quick --jobs=0");
+    expectRejected(bindir + "/bench_fig7_dss", "--quick --job=4");
+    expectRejected(bindir + "/bench_fig7_dss", "--quick --workloads=-1");
+    expectRejected(bindir + "/bench_table2_sim_params",
+                   "dss.tokens_per_kerel=1");
 }
 #endif
 

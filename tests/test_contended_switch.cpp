@@ -203,7 +203,7 @@ TEST(ProactiveMem, UnknownTunableIsRejectedWithSuggestion)
     cfg.set("proactive_mem.lookahed", static_cast<std::int64_t>(8));
     std::string msg;
     try {
-        core::makeMechanism("proactive_mem", cfg);
+        workload::validateConfig(cfg);
         ADD_FAILURE() << "expected sim::FatalError";
     } catch (const sim::FatalError &e) {
         msg = e.what();
@@ -218,8 +218,7 @@ TEST(ProactiveMem, NonPositiveLookaheadIsFatal)
 {
     sim::Config cfg;
     cfg.set("proactive_mem.lookahead", static_cast<std::int64_t>(0));
-    EXPECT_THROW(core::makeMechanism("proactive_mem", cfg),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(cfg), sim::FatalError);
 }
 
 namespace {

@@ -657,7 +657,7 @@ TEST(ExecFlags, ParallelismFlagsRejectNonPositiveValues)
 {
     auto argsFor = [](const char *flag) {
         const char *argv[] = {"prog", flag};
-        return Args(2, const_cast<char **>(argv));
+        return Args(2, const_cast<char **>(argv), {"jobs", "workers"});
     };
     EXPECT_THROW(argsFor("--jobs=0").flagPositiveInt("jobs", 1),
                  sim::FatalError);

@@ -118,11 +118,11 @@ TEST(TimeMux, EndToEndWorkload)
         EXPECT_GE(runs.size(), 2u);
 }
 
-TEST(TimeMux, FactoryValidatesQuantum)
+TEST(TimeMux, ValidatorChecksQuantum)
 {
     sim::Config cfg;
     cfg.set("tmux.quantum_us", -5.0);
-    EXPECT_THROW(core::makePolicy("tmux", cfg), sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(cfg), sim::FatalError);
 }
 
 TEST(WeightedDss, SharesProportionalToPriority)

@@ -18,7 +18,7 @@ TEST(Args, SplitsFlagsAndConfig)
 {
     const char *argv[] = {"prog", "--workloads=20", "--csv",
                           "gpu.num_sms=8", "dss.retarget=false"};
-    Args args(5, const_cast<char **>(argv));
+    Args args(5, const_cast<char **>(argv), {"workloads", "csv"});
     EXPECT_EQ(args.flagInt("workloads", 5), 20);
     EXPECT_TRUE(args.hasFlag("csv"));
     EXPECT_EQ(args.flag("csv", ""), "true");
@@ -33,10 +33,38 @@ TEST(Args, MalformedTokenIsFatal)
     EXPECT_THROW(Args(2, const_cast<char **>(argv)), sim::FatalError);
 }
 
+TEST(Args, UndeclaredFlagsAndKeysAreFatal)
+{
+    auto message = [](std::vector<const char *> argv) {
+        argv.insert(argv.begin(), "prog");
+        try {
+            Args(static_cast<int>(argv.size()),
+                 const_cast<char **>(argv.data()), {"jobs", "quick"});
+        } catch (const sim::FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message({"--job=4"}),
+              "unknown flag --job; did you mean --jobs?");
+    // Nothing near: the error lists what the binary accepts.
+    EXPECT_EQ(message({"--help"}),
+              "unknown flag --help; accepted: --jobs, --quick, "
+              "--list-schemes");
+    EXPECT_EQ(message({"gpu.num_smz=4"}),
+              "unknown config key 'gpu.num_smz'; did you mean "
+              "'gpu.num_sms'?");
+    EXPECT_EQ(message({"gpu.context_load_us=-100"}),
+              "config key 'gpu.context_load_us' is -100; it must be in "
+              "[0, 1000000000]");
+    EXPECT_EQ(message({"--quick", "--jobs=2", "gpu.num_sms=4"}),
+              "accepted");
+}
+
 TEST(Args, FlagTypeValidation)
 {
     const char *argv[] = {"prog", "--n=abc"};
-    Args args(2, const_cast<char **>(argv));
+    Args args(2, const_cast<char **>(argv), {"n"});
     EXPECT_THROW(args.flagInt("n", 0), sim::FatalError);
     EXPECT_THROW(args.flagDouble("n", 0), sim::FatalError);
     EXPECT_THROW(args.flagIntList("n", {}), sim::FatalError);
@@ -45,7 +73,7 @@ TEST(Args, FlagTypeValidation)
 TEST(Args, FlagIntList)
 {
     const char *argv[] = {"prog", "--sizes=2,4,8", "--one=6"};
-    Args args(3, const_cast<char **>(argv));
+    Args args(3, const_cast<char **>(argv), {"sizes", "one"});
     EXPECT_EQ(args.flagIntList("sizes", {}),
               (std::vector<int>{2, 4, 8}));
     EXPECT_EQ(args.flagIntList("one", {}), (std::vector<int>{6}));
@@ -62,7 +90,8 @@ TEST(Args, OutOfRangeIntegersAreFatalNotClamped)
                           "--neg=-99999999999999999999",
                           "--max=9223372036854775807",
                           "--top=2147483647", "--low=-2147483648,7"};
-    Args args(8, const_cast<char **>(argv));
+    Args args(8, const_cast<char **>(argv),
+              {"seed", "jobs", "sizes", "neg", "max", "top", "low"});
     EXPECT_THROW(args.flagInt("seed", 0), sim::FatalError);
     EXPECT_THROW(args.flagInt("neg", 0), sim::FatalError);
     EXPECT_THROW(args.flagPositiveInt("jobs", 1), sim::FatalError);

@@ -338,34 +338,31 @@ TEST(BoreBurst, LongKernelsDemoteTheirContext)
 
 TEST(Registry, PredictTunablesValidatedWithDidYouMean)
 {
-    // Typo'd keys under the claimed namespaces are fatal with a
-    // suggestion, like every other registrant.
+    // Typo'd keys are fatal with a suggestion, like every other
+    // declared key.
     sim::Config cfg;
     cfg.set("pred.ewma_alpa", 0.5);
-    std::string msg = fatalMessageOf(
-        [&] { core::makeMechanism("pred_adaptive", cfg); });
+    std::string msg =
+        fatalMessageOf([&] { workload::validateConfig(cfg); });
     EXPECT_NE(msg.find("pred.ewma_alpa"), std::string::npos) << msg;
     EXPECT_NE(msg.find("pred.ewma_alpha"), std::string::npos) << msg;
 
     sim::Config bore;
     bore.set("bore.smoothnes", static_cast<std::int64_t>(1));
     std::string bmsg =
-        fatalMessageOf([&] { core::makePolicy("bore_burst", bore); });
+        fatalMessageOf([&] { workload::validateConfig(bore); });
     EXPECT_NE(bmsg.find("bore.smoothness"), std::string::npos) << bmsg;
 
-    // Range validation in the factories.
+    // The declared bounds.
     sim::Config bad;
     bad.set("pred.ewma_alpha", 0.0);
-    EXPECT_THROW(core::makeMechanism("pred_adaptive", bad),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(bad), sim::FatalError);
     sim::Config badc;
     badc.set("pred.confidence_min", 1.5);
-    EXPECT_THROW(core::makeMechanism("pred_adaptive", badc),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(badc), sim::FatalError);
     sim::Config badd;
     badd.set("bore.decay_us", 0.0);
-    EXPECT_THROW(core::makePolicy("bore_burst", badd),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(badd), sim::FatalError);
 }
 
 TEST(Registry, MeasurementSchemesAssembleThroughSystemSpec)

@@ -319,23 +319,21 @@ TEST(PpqAging, ServedKernelsCarryNoBoost)
     rig.run();
 }
 
-TEST(PpqAging, FactoryValidatesTunables)
+TEST(PpqAging, ValidatorChecksTunables)
 {
     sim::Config bad_interval;
     bad_interval.set("ppq_aging.interval_us", -1.0);
-    EXPECT_THROW(core::makePolicy("ppq_aging", bad_interval),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(bad_interval), sim::FatalError);
 
     sim::Config bad_step;
     bad_step.set("ppq_aging.step", static_cast<std::int64_t>(-2));
-    EXPECT_THROW(core::makePolicy("ppq_aging", bad_step),
-                 sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(bad_step), sim::FatalError);
 
     // Typo'd tunable: rejected with the nearest declared key named.
     sim::Config typo;
     typo.set("ppq_aging.intervalus", 10.0);
     try {
-        core::makePolicy("ppq_aging", typo);
+        workload::validateConfig(typo);
         FAIL() << "expected FatalError";
     } catch (const sim::FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("ppq_aging.interval_us"),

@@ -1,7 +1,7 @@
 /**
  * Tests of the pluggable scheme registry (core/registry.hh): fail-fast
- * duplicate registration, sorted stable listings, tunable-default
- * round-trips through Config::merge, construction-time validation of
+ * duplicate registration and key declaration, sorted stable listings,
+ * tunable-default round-trips through Config::merge, validation of
  * unknown/ill-typed tunables (with nearest-key suggestions), label
  * uniqueness across the registered cross-product, and out-of-tree
  * registration through the public surface only.
@@ -87,7 +87,7 @@ TEST(SchemeRegistry, DuplicateRegistrationFailsFast)
     EXPECT_THROW(reg.add(std::move(repeated)), sim::FatalError);
 }
 
-TEST(SchemeRegistry, RejectsEmptyNameMissingFactoryAndStrayTunable)
+TEST(SchemeRegistry, RejectsEmptyNameMissingFactoryAndDuplicateKey)
 {
     DummyRegistry reg("dummy");
     EXPECT_THROW(reg.add(dummyDescriptor("")), sim::FatalError);
@@ -96,30 +96,35 @@ TEST(SchemeRegistry, RejectsEmptyNameMissingFactoryAndStrayTunable)
     no_factory.factory = nullptr;
     EXPECT_THROW(reg.add(std::move(no_factory)), sim::FatalError);
 
-    // A tunable outside the claimed namespace could never be
-    // validated; registration refuses it up front.
-    auto stray = dummyDescriptor("stray");
-    stray.configPrefix = "stray";
-    stray.tunables = {{"other.knob", TunableType::Int, "1", "doc"}};
-    EXPECT_THROW(reg.add(std::move(stray)), sim::FatalError);
+    // Every key is declared once, process-wide: a tunable may not
+    // restate a built-in scheme's key, a model key or its own.
+    workload::validateConfig(sim::Config()); // links every declaration
+    for (const char *taken : {"dss.retarget", "gpu.num_sms"}) {
+        auto dup = dummyDescriptor("dup");
+        dup.tunables = {{"dummy.fresh", TunableType::Int, "1", "doc", {}},
+                        {taken, TunableType::Int, "1", "doc", {}}};
+        EXPECT_THROW(reg.add(std::move(dup)), sim::FatalError) << taken;
+    }
+    auto twice = dummyDescriptor("twice");
+    twice.tunables = {{"dummy.twice", TunableType::Int, "1", "doc", {}},
+                      {"dummy.twice", TunableType::Int, "1", "doc", {}}};
+    EXPECT_THROW(reg.add(std::move(twice)), sim::FatalError);
 
-    // A dotted prefix would never match validate()'s first-segment
-    // lookup, silently disabling validation for the registrant.
-    auto dotted = dummyDescriptor("dotted");
-    dotted.configPrefix = "a.b";
-    EXPECT_THROW(reg.add(std::move(dotted)), sim::FatalError);
-
-    // Two registrants cannot claim the same namespace: validation
-    // binds a prefix to exactly one owner, so the second claimant's
-    // tunables would be rejected as typos of the first's.
-    auto first = dummyDescriptor("first");
-    first.configPrefix = "shared";
-    first.tunables = {{"shared.a", TunableType::Int, "1", "doc"}};
+    // A failed registration declares nothing and registers nothing.
+    auto first = dummyDescriptor("dup");
+    first.tunables = {{"dummy.fresh", TunableType::Int, "1", "doc", {}}};
     reg.add(std::move(first));
+    EXPECT_NE(reg.find("dup"), nullptr);
+    EXPECT_EQ(reg.find("twice"), nullptr);
+
+    // A second registrant, in any registry, cannot declare it again.
     auto second = dummyDescriptor("second");
-    second.configPrefix = "shared";
-    second.tunables = {{"shared.b", TunableType::Int, "2", "doc"}};
+    second.tunables = {{"dummy.fresh", TunableType::Int, "2", "doc", {}}};
     EXPECT_THROW(reg.add(std::move(second)), sim::FatalError);
+    DummyRegistry other("other dummy");
+    auto third = dummyDescriptor("third");
+    third.tunables = {{"dummy.fresh", TunableType::Int, "2", "doc", {}}};
+    EXPECT_THROW(other.add(std::move(third)), sim::FatalError);
 }
 
 TEST(SchemeRegistry, ListIsSortedStableAndAliasesResolve)
@@ -195,9 +200,9 @@ TEST(SchemeRegistry, TunableDefaultsRoundTripThroughMerge)
         sim::Config merged;
         merged.set("unrelated.key", static_cast<std::int64_t>(7));
         merged.merge(defaults);
-        // The default survives a merge and parses as its declared
-        // type; construction-time validation does the same getter
-        // calls, so a bad default would also fail every build.
+        // The default survives a merge, parses as its declared type
+        // and lies within its declared bound.
+        EXPECT_NO_THROW(workload::validateConfig(defaults)) << t.key;
         switch (t.type) {
           case TunableType::Int:
             EXPECT_EQ(merged.getInt(t.key, -1),
@@ -214,9 +219,6 @@ TEST(SchemeRegistry, TunableDefaultsRoundTripThroughMerge)
                       defaults.getBool(t.key, true))
                 << t.key;
             break;
-          case TunableType::String:
-            EXPECT_EQ(merged.getString(t.key, "a"), t.def) << t.key;
-            break;
         }
     };
     for (const std::string &p : policyRegistry().list())
@@ -229,38 +231,37 @@ TEST(SchemeRegistry, TunableDefaultsRoundTripThroughMerge)
 
 TEST(SchemeRegistry, UnknownDssKeyIsRejectedWithSuggestion)
 {
-    // Regression: unknown keys under a claimed namespace used to be
-    // silently ignored (a typo'd ablation ran the default instead).
+    // Regression: unknown keys used to be silently ignored (a typo'd
+    // ablation ran the default instead).
     sim::Config cfg;
     cfg.set("dss.tokens_per_kerel", static_cast<std::int64_t>(2));
     std::string msg =
-        fatalMessageOf([&] { makePolicy("dss", cfg); });
+        fatalMessageOf([&] { workload::validateConfig(cfg); });
     EXPECT_NE(msg.find("dss.tokens_per_kerel"), std::string::npos)
         << msg;
     // ... and the nearest declared tunable is suggested.
     EXPECT_NE(msg.find("dss.tokens_per_kernel"), std::string::npos)
         << msg;
 
-    // The same config is rejected even when constructing a *different*
-    // policy: the namespace is claimed, so the key cannot be a no-op.
-    EXPECT_THROW(makePolicy("fcfs", cfg), sim::FatalError);
-
     // A key nothing like any declared tunable gets no misleading
-    // "did you mean"; the error enumerates the declared keys instead.
+    // "did you mean"; the error enumerates the keys of its namespace.
     sim::Config far_off;
     far_off.set("dss.verbose", std::string("yes"));
     std::string far_msg =
-        fatalMessageOf([&] { makePolicy("dss", far_off); });
+        fatalMessageOf([&] { workload::validateConfig(far_off); });
     EXPECT_EQ(far_msg.find("did you mean"), std::string::npos)
         << far_msg;
     EXPECT_NE(far_msg.find("dss.retarget"), std::string::npos)
         << far_msg;
 
-    // And through the full System assembly path.
+    // And through the full System assembly path, whichever policy
+    // runs: the key is declared by DSS but rejected for every scheme.
     workload::SystemSpec spec;
     spec.benchmarks = {"sgemm"};
-    spec.policy = "dss";
-    EXPECT_THROW(workload::System(spec, cfg), sim::FatalError);
+    for (const char *policy : {"dss", "fcfs"}) {
+        spec.policy = policy;
+        EXPECT_THROW(workload::System(spec, cfg), sim::FatalError);
+    }
 }
 
 TEST(SchemeRegistry, IllTypedTunableValueIsRejected)
@@ -273,11 +274,17 @@ TEST(SchemeRegistry, IllTypedTunableValueIsRejected)
     mcfg.set("adaptive.bias", std::string("fast"));
     EXPECT_THROW(makeMechanism("adaptive", mcfg), sim::FatalError);
 
-    // Unclaimed namespaces stay untouched: other subsystems own them.
+    // The validator checks the declared type before any factory runs.
+    EXPECT_THROW(workload::validateConfig(cfg), sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(mcfg), sim::FatalError);
+
+    // No namespace is left unchecked: model keys are declared too,
+    // and an undeclared key is rejected whatever its prefix.
     sim::Config other;
     other.set("gpu.num_sms", static_cast<std::int64_t>(4));
+    EXPECT_NO_THROW(workload::validateConfig(other));
     other.set("unclaimed.whatever", "fine");
-    EXPECT_NO_THROW(makePolicy("fcfs", other));
+    EXPECT_THROW(workload::validateConfig(other), sim::FatalError);
 }
 
 TEST(SchemeRegistry, SchemeLabelsNeverCollideAcrossRegistry)
@@ -375,7 +382,7 @@ TEST(SchemeRegistry, AdaptiveRegistersOracleAndPredictedEstimators)
 
     sim::Config cfg;
     cfg.set("pred.bias", -1.0);
-    EXPECT_THROW(makeMechanism("pred_adaptive", cfg), sim::FatalError);
+    EXPECT_THROW(workload::validateConfig(cfg), sim::FatalError);
 }
 
 TEST(SchemeRegistry, AdaptiveMechanismHasDeclaredBias)
@@ -384,11 +391,7 @@ TEST(SchemeRegistry, AdaptiveMechanismHasDeclaredBias)
     ASSERT_EQ(d.tunables.size(), 1u);
     EXPECT_EQ(d.tunables[0].key, "adaptive.bias");
     EXPECT_EQ(d.tunables[0].type, TunableType::Double);
-    EXPECT_THROW(
-        [] {
-            sim::Config cfg;
-            cfg.set("adaptive.bias", -1.0);
-            makeMechanism("adaptive", cfg);
-        }(),
-        sim::FatalError);
+    sim::Config cfg;
+    cfg.set("adaptive.bias", -1.0);
+    EXPECT_THROW(workload::validateConfig(cfg), sim::FatalError);
 }
